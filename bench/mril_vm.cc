@@ -1,18 +1,14 @@
-// MRIL VM dispatch microbenchmark: instructions/second for the
-// computed-goto (threaded) and portable switch interpreter backends,
-// over loop kernels chosen to stress what the link step optimizes.
+// MRIL VM microbenchmark: instructions/second of the interpreter's
+// switch loop over loop kernels chosen to stress what the link step
+// optimizes.
 //
 //   fused    a generated program of 64 unrolled selection blocks, each
 //            dominated by the two superinstructions (load_param_field,
 //            cmp_*_br) with PRNG-driven branch outcomes. The long,
-//            aperiodic opcode sequence is the regime where dispatch
-//            strategy matters: a single switch site must predict the
-//            next of ~36 targets from deep history, while threaded
-//            dispatch gives every handler its own indirect-branch
-//            site with far fewer plausible successors.
-//   tight    the degenerate opposite — an 8-instruction counting loop.
-//            Its dispatch sequence is perfectly periodic, so both
-//            backends predict it; included to show the bound.
+//            aperiodic opcode sequence makes the next handler hard to
+//            predict from the single dispatch site.
+//   tight    the degenerate opposite — an 8-instruction counting loop
+//            whose dispatch sequence is perfectly periodic.
 //   arith    a straight i64 arithmetic loop (add/mul/mod) — raw
 //            dispatch overhead plus the inline integer fast path.
 //   builtin  a tokenization loop (str.word_at / str.equals) — dispatch
@@ -36,7 +32,6 @@ namespace manimal::bench {
 namespace {
 
 using mril::Program;
-using mril::VmDispatch;
 using mril::VmInstance;
 using mril::VmOptions;
 
@@ -244,13 +239,9 @@ Value KernelValue(const Kernel& kernel) {
   return Value::List(std::move(record));
 }
 
-// Runs the kernel under one backend; returns instructions/second.
-double Measure(const Program& program, const Kernel& kernel,
-               VmDispatch dispatch, VmDispatch* effective) {
-  VmOptions options;
-  options.dispatch = dispatch;
-  VmInstance vm(&program, options);
-  *effective = vm.effective_dispatch();
+// Runs the kernel once; returns instructions/second.
+double Measure(const Program& program, const Kernel& kernel) {
+  VmInstance vm(&program, VmOptions{});
   vm.set_emit_sink([](const Value&, const Value&) { return Status::OK(); });
   const Value key = Value::I64(0);
   const Value value = KernelValue(kernel);
@@ -277,41 +268,20 @@ int Main() {
       {"builtin", kBuiltinKernel, 2'000 * scale, 200},
   };
 
-  std::printf("MRIL VM dispatch microbench (threaded available: %s)\n",
-              mril::ThreadedDispatchAvailable() ? "yes" : "no");
-  TablePrinter table({"kernel", "backend", "Minstr/s", "vs switch"});
+  std::printf("MRIL VM microbench\n");
+  TablePrinter table({"kernel", "Minstr/s"});
   for (const Kernel& kernel : kernels) {
     Program program =
         CheckOk(mril::AssembleProgram(kernel.text), "assemble kernel");
-    double per_backend[2] = {0, 0};
-    const struct {
-      VmDispatch dispatch;
-      const char* name;
-    } backends[] = {{VmDispatch::kSwitch, "switch"},
-                    {VmDispatch::kThreaded, "threaded"}};
-    for (int b = 0; b < 2; ++b) {
-      VmDispatch effective = VmDispatch::kSwitch;
-      double best = 0;
-      // Best-of-N to shed scheduler noise.
-      for (int rep = 0; rep < std::max(1, Runs()) + 2; ++rep) {
-        best = std::max(best, Measure(program, kernel,
-                                      backends[b].dispatch, &effective));
-      }
-      per_backend[b] = best;
-      const bool fell_back = backends[b].dispatch == VmDispatch::kThreaded &&
-                             effective != VmDispatch::kThreaded;
-      const double ratio = per_backend[0] > 0 ? best / per_backend[0] : 1;
-      table.AddRow({kernel.name,
-                    fell_back ? "threaded(->switch)" : backends[b].name,
-                    StrPrintf("%.1f", best / 1e6),
-                    StrPrintf("%.2fx", ratio)});
-      JsonRow("mril_vm", std::string(kernel.name) + "/" + backends[b].name)
-          .Str("effective_backend",
-               effective == VmDispatch::kThreaded ? "threaded" : "switch")
-          .Num("instructions_per_sec", best)
-          .Num("vs_switch", ratio)
-          .Emit();
+    double best = 0;
+    // Best-of-N to shed scheduler noise.
+    for (int rep = 0; rep < std::max(1, Runs()) + 2; ++rep) {
+      best = std::max(best, Measure(program, kernel));
     }
+    table.AddRow({kernel.name, StrPrintf("%.1f", best / 1e6)});
+    JsonRow("mril_vm", kernel.name)
+        .Num("instructions_per_sec", best)
+        .Emit();
   }
   table.Print();
   return 0;

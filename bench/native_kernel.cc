@@ -1,17 +1,15 @@
 // Native codegen tier microbenchmark (src/codegen/, docs/mril.md
 // "Native kernels"): records/second for a detected selection +
-// projection map function under four executors over the same
+// projection map function under three executors over the same
 // in-memory web-pages dataset:
 //
 //   hand      a hand-written C++ loop — reads the rank field, tests
 //             the predicate, consumes (url, rank). The ceiling the
 //             tier is measured against: the acceptance target is the
 //             closure kernel within 2x of this loop.
-//   closure   the closure-engine kernel (CompileKernel, kClosure) via
-//             the same Run()/bailout-replay contract the engine uses.
-//   emitted   the emitted-source + dlopen kernel (kEmitted) when the
-//             build carries it (MANIMAL_CODEGEN_DLOPEN).
-//   vm        the MRIL VM (default dispatch) — the tier's baseline;
+//   closure   the native kernel (CompileKernel) via the same
+//             Run()/bailout-replay contract the engine uses.
+//   vm        the MRIL VM — the tier's baseline;
 //             included so the native speedup is visible next to the
 //             hand-written gap.
 //
@@ -31,7 +29,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "codegen/dlopen_kernel.h"
 #include "codegen/kernel.h"
 #include "common/stopwatch.h"
 #include "mril/builder.h"
@@ -146,29 +143,18 @@ int Main() {
   };
   const Config configs[] = {{"sel50", 500}, {"sel1", 990}};
 
-  std::printf(
-      "native kernel microbench (%lld records, emitted engine: %s)\n",
-      static_cast<long long>(n),
-      codegen::EmittedKernelAvailable() ? "yes" : "no");
+  std::printf("native kernel microbench (%lld records)\n",
+              static_cast<long long>(n));
   TablePrinter table({"config", "leg", "Mrec/s", "vs hand", "vs vm"});
 
   bool within_2x = true;
   for (const Config& config : configs) {
     mril::Program program = SelectProjectProgram(config.threshold);
 
-    // Compile both engines up front (compile time is job-prepare cost,
-    // not per-record cost; the engine compiles once per task chain).
-    CompileOptions closure_opts;
-    closure_opts.engine = CompileOptions::Engine::kClosure;
+    // Compile up front (compile time is job-prepare cost, not
+    // per-record cost; the engine compiles once per task chain).
     std::shared_ptr<const NativeKernel> closure =
-        CheckOk(CompileKernel(program, closure_opts), "closure compile");
-    std::shared_ptr<const NativeKernel> emitted;
-    if (codegen::EmittedKernelAvailable()) {
-      CompileOptions emitted_opts;
-      emitted_opts.engine = CompileOptions::Engine::kEmitted;
-      emitted =
-          CheckOk(CompileKernel(program, emitted_opts), "emitted compile");
-    }
+        CheckOk(CompileKernel(program, CompileOptions{}), "compile");
 
     mril::VmInstance vm(&program, mril::VmOptions{});
     Sink* vm_sink = nullptr;
@@ -189,12 +175,6 @@ int Main() {
                       vm_sink = s;  // bailout replays emit through the VM
                       return RunKernel(records, s, *closure, &vm);
                     }});
-    if (emitted != nullptr) {
-      legs.push_back({"emitted", [&](Sink* s) {
-                        vm_sink = s;
-                        return RunKernel(records, s, *emitted, &vm);
-                      }});
-    }
     legs.push_back({"vm", [&](Sink* s) {
                       vm_sink = s;
                       return RunVm(records, s, &vm);

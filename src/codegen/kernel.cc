@@ -5,7 +5,6 @@
 #include <memory>
 #include <utility>
 
-#include "codegen/dlopen_kernel.h"
 #include "common/strings.h"
 #include "mril/builtins.h"
 
@@ -772,7 +771,7 @@ class ClosureKernel final : public NativeKernel {
 
   std::string Describe() const override { return describe_; }
 
-  // Filled in by BuildClosureKernel (file-local builder).
+  // Filled in by CompileKernel.
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::vector<TermEval>> disjuncts_;
   std::vector<std::pair<const Node*, int>> prepass_;
@@ -799,9 +798,10 @@ double HeuristicSelectivity(const ExprRef& expr) {
 
 }  // namespace
 
-Result<std::shared_ptr<const NativeKernel>> BuildClosureKernel(
-    const mril::Program& program, const RelationalShape& shape,
-    const CompileOptions& options) {
+Result<std::shared_ptr<const NativeKernel>> CompileKernel(
+    const mril::Program& program, const CompileOptions& options) {
+  MANIMAL_ASSIGN_OR_RETURN(const RelationalShape shape,
+                           ExtractShape(program));
   Compiler compiler(program, options);
   auto kernel = std::make_shared<ClosureKernel>();
   std::map<std::string, double> selectivity(
@@ -864,22 +864,6 @@ Result<std::shared_ptr<const NativeKernel>> BuildClosureKernel(
       shape.Describe().c_str(), total_terms, kernel->prepass_.size(),
       kernel->min_arity_);
   return std::shared_ptr<const NativeKernel>(std::move(kernel));
-}
-
-Result<std::shared_ptr<const NativeKernel>> CompileShape(
-    const mril::Program& program, const RelationalShape& shape,
-    const CompileOptions& options) {
-  if (options.engine == CompileOptions::Engine::kEmitted) {
-    return CompileEmittedKernel(program, shape, options);
-  }
-  return BuildClosureKernel(program, shape, options);
-}
-
-Result<std::shared_ptr<const NativeKernel>> CompileKernel(
-    const mril::Program& program, const CompileOptions& options) {
-  MANIMAL_ASSIGN_OR_RETURN(RelationalShape shape,
-                           ExtractShape(program));
-  return CompileShape(program, shape, options);
 }
 
 }  // namespace manimal::codegen

@@ -2,19 +2,11 @@
 // (codegen/shape.h) into a specialized evaluator that replaces the VM
 // on the map hot path.
 //
-// Two engines implement the tier:
-//
-//   * the closure engine (default) — a tree of small evaluator nodes
-//     built at job-prepare time, with template-instantiated typed fast
-//     paths for the dominant term shapes (e.g. an i64 field compared
-//     against an i64 constant) and conjunct short-circuiting in
-//     selectivity order;
-//   * the emitted engine (CMake option MANIMAL_CODEGEN_DLOPEN) — the
-//     shape is rendered to a self-contained C++ translation unit,
-//     compiled to a shared object at runtime, and loaded with dlopen.
-//     It covers a narrower family (typed comparisons, field/constant
-//     projections); shapes outside it compile-fail and the caller
-//     falls back.
+// The kernel is a closure tree: small evaluator nodes built at
+// job-prepare time, with template-instantiated typed fast paths for
+// the dominant term shapes (e.g. an i64 field compared against an i64
+// constant) and conjunct short-circuiting in selectivity order.
+// NativeKernel hides that tree from callers.
 //
 // Exactness contract: for every record, Run() either reproduces the
 // VM's observable behavior (emit the identical pair, or emit nothing)
@@ -84,30 +76,13 @@ struct CompileOptions {
   // most-selective-first. Terms without an estimate use a static
   // cost/selectivity heuristic.
   std::vector<std::pair<std::string, double>> term_selectivity;
-
-  enum class Engine {
-    kAuto,     // closure engine
-    kClosure,  // force the closure engine
-    kEmitted,  // force the emitted-source + dlopen engine
-  };
-  Engine engine = Engine::kAuto;
-
-  // Scratch directory for the emitted engine's generated sources and
-  // shared objects; a fresh temp dir when empty.
-  std::string scratch_dir;
 };
 
 // Extracts the program's shape and compiles it. Returns
-// StatusCode::kNotSupported (with a reason) for shapes the requested
-// engine cannot cover exactly.
+// StatusCode::kNotSupported (with a reason) for programs the admission
+// gate (codegen/shape.h) rejects.
 Result<std::shared_ptr<const NativeKernel>> CompileKernel(
     const mril::Program& program, const CompileOptions& options);
-
-// Compiles an already-extracted shape (schema/key_type still come from
-// the program).
-Result<std::shared_ptr<const NativeKernel>> CompileShape(
-    const mril::Program& program, const RelationalShape& shape,
-    const CompileOptions& options);
 
 }  // namespace manimal::codegen
 

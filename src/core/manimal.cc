@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <system_error>
 
 #include "common/strings.h"
 #include "obs/metrics.h"
@@ -117,6 +119,22 @@ std::string ManimalSystem::FreshTempDir(const std::string& tag) {
          std::to_string(job_counter_++);
 }
 
+// Not RemoveDirRecursively: its rail refuses paths without "manimal" in
+// them, and a workspace may live anywhere. These paths come from
+// FreshTempDir alone.
+void ManimalSystem::RemoveTempDir(const std::string& path) {
+  std::error_code ec;
+  std::filesystem::remove_all(path, ec);
+}
+
+Result<exec::JobResult> ManimalSystem::RunJobInTempDir(
+    const exec::ExecutionDescriptor& descriptor,
+    const exec::JobConfig& config) {
+  Result<exec::JobResult> job = exec::RunJob(descriptor, config);
+  RemoveTempDir(config.temp_dir);
+  return job;
+}
+
 Result<ManimalSystem::SubmitOutcome> ManimalSystem::Submit(
     const Submission& submission) {
   MANIMAL_ASSIGN_OR_RETURN(analyzer::AnalysisReport report,
@@ -171,7 +189,7 @@ Result<ManimalSystem::SubmitOutcome> ManimalSystem::SubmitWithReport(
     };
   }
   MANIMAL_ASSIGN_OR_RETURN(outcome.job,
-                           exec::RunJob(outcome.plan.descriptor, config));
+                           RunJobInTempDir(outcome.plan.descriptor, config));
   outcome.explain = MaybeExplain(outcome.plan, outcome.job);
   return outcome;
 }
@@ -187,18 +205,18 @@ Result<exec::JobResult> ManimalSystem::RunBaseline(
   // compares against: pin the VM so neither Options::backend nor the
   // MANIMAL_BACKEND env can route it through a native kernel.
   config.backend = exec::Backend::kVm;
-  return exec::RunJob(descriptor, config);
+  return RunJobInTempDir(descriptor, config);
 }
 
 Result<exec::IndexBuildResult> ManimalSystem::BuildIndex(
     const analyzer::IndexGenProgram& spec,
     const std::string& input_path) {
-  MANIMAL_ASSIGN_OR_RETURN(
-      exec::IndexBuildResult result,
-      exec::BuildIndexArtifact(spec, input_path,
-                               options_.workspace_dir + "/artifacts",
-                               FreshTempDir("indexgen")));
-  MANIMAL_RETURN_IF_ERROR(catalog_->Register(result.entry));
+  const std::string temp_dir = FreshTempDir("indexgen");
+  Result<exec::IndexBuildResult> result = exec::BuildIndexArtifact(
+      spec, input_path, options_.workspace_dir + "/artifacts", temp_dir);
+  RemoveTempDir(temp_dir);
+  MANIMAL_RETURN_IF_ERROR(result.status());
+  MANIMAL_RETURN_IF_ERROR(catalog_->Register(result->entry));
   return result;
 }
 

@@ -190,7 +190,17 @@ class ManimalSystem {
       : options_(std::move(options)) {}
 
   exec::JobConfig MakeJobConfig(const std::string& output_path);
+  // A new scratch directory name under <workspace>/tmp, one per call.
   std::string FreshTempDir(const std::string& tag);
+  // Removes a FreshTempDir directory with whatever the call left in it
+  // (spill runs, a failed attempt's part files). Best effort.
+  static void RemoveTempDir(const std::string& path);
+  // Runs a job configured by MakeJobConfig, then removes its temp_dir,
+  // on success and on failure. The output lives at output_path, not
+  // there.
+  Result<exec::JobResult> RunJobInTempDir(
+      const exec::ExecutionDescriptor& descriptor,
+      const exec::JobConfig& config);
   // Builds the explain report for a finished job when Options::explain
   // asks for one (nullopt otherwise), appending its JSON line to
   // Options::explain_path when set.

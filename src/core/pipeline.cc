@@ -88,17 +88,12 @@ Result<ManimalSystem::PipelineResult> ManimalSystem::RunPipeline(
       }
     }
     Result<exec::JobResult> job =
-        exec::RunJob(outcome.plan.descriptor, config);
+        RunJobInTempDir(outcome.plan.descriptor, config);
     if (!job.ok()) {
       // Abort the pipeline cleanly: the failed job already removed
       // its own partial output; drop the intermediates earlier stages
       // left behind so a failed pipeline leaves no half-built state.
-      for (const PipelineStageOutcome& done : result.stages) {
-        if (!done.intermediate_path.empty()) {
-          (void)RemoveFileIfExists(done.intermediate_path);
-        }
-      }
-      (void)RemoveDirRecursively(inter_dir);
+      RemoveTempDir(inter_dir);
       return job.status();
     }
     outcome.job = std::move(*job);

@@ -1152,15 +1152,6 @@ Status JobRunner::ResolveBackend() {
   codegen::CompileOptions opts;
   opts.field_remap = field_remap_;
   opts.term_selectivity = descriptor_.native_term_selectivity;
-  opts.scratch_dir = cfg_.temp_dir + "/codegen";
-  if (const char* env = std::getenv("MANIMAL_CODEGEN_ENGINE")) {
-    std::string_view engine = env;
-    if (engine == "emitted") {
-      opts.engine = codegen::CompileOptions::Engine::kEmitted;
-    } else if (engine == "closure") {
-      opts.engine = codegen::CompileOptions::Engine::kClosure;
-    }
-  }
   Result<std::shared_ptr<const codegen::NativeKernel>> kernel =
       codegen::CompileKernel(program_, opts);
   if (kernel.ok()) {

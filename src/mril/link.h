@@ -16,8 +16,7 @@
 // Fusion is legal because the verifier rejects jumps into the middle
 // of a pair (a fused second half is never itself a jump target — we
 // check), and kNop is dropped entirely. One linked instruction counts
-// as one VM step, so a fused pair costs one step on both dispatch
-// backends.
+// as one VM step, so a fused pair costs one step.
 //
 // Each linked function ends with a kFellOffEnd sentinel, which lets
 // the interpreter drop its `pc < n` bounds check: falling off the end

@@ -1,7 +1,6 @@
 #include "mril/vm.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "common/check.h"
@@ -148,28 +147,11 @@ const VmCounters& GetVmCounters() {
   return *counters;
 }
 
-VmDispatch ResolveDispatch(VmDispatch requested) {
-  if (requested == VmDispatch::kAuto) {
-    if (const char* env = std::getenv("MANIMAL_VM_DISPATCH")) {
-      std::string_view v(env);
-      if (v == "switch") {
-        requested = VmDispatch::kSwitch;
-      } else if (v == "threaded") {
-        requested = VmDispatch::kThreaded;
-      }
-    }
-  }
-  if (!ThreadedDispatchAvailable()) return VmDispatch::kSwitch;
-  return requested == VmDispatch::kSwitch ? VmDispatch::kSwitch
-                                          : VmDispatch::kThreaded;
-}
-
 }  // namespace
 
 VmInstance::VmInstance(const Program* program, VmOptions options)
     : program_(program),
       options_(std::move(options)),
-      dispatch_(ResolveDispatch(options_.dispatch)),
       builtin_calls_(BuiltinRegistry::Get().size(), 0) {
   LinkOptions link_options;
   link_options.field_remap = options_.field_remap;
@@ -238,23 +220,398 @@ Status VmInstance::Invoke(const LinkedFunction& fn, const Value& p0,
   // keyed on their addresses.
   InvalidateBorrowedStringMemos();
   const Value* params[2] = {&p0, &p1};
-#if MANIMAL_VM_THREADED_DISPATCH
-  if (dispatch_ == VmDispatch::kThreaded) return RunThreaded(fn, params);
-#endif
-  return RunSwitch(fn, params);
+  return Run(fn, params);
 }
 
-// The interpreter loop bodies. vm_loop.inc defines one member function
-// per inclusion; both backends share the handler source text, so they
-// cannot drift apart semantically.
-#if MANIMAL_VM_THREADED_DISPATCH
-#define VM_LOOP_NAME RunThreaded
-#define VM_LOOP_THREADED 1
-#include "mril/vm_loop.inc"
-#endif
+// The interpreter loop over a linked instruction stream: one `switch`
+// per executed instruction, each handler ending in `continue` (next
+// instruction) or `goto L_done` (return or error).
+//
+// Invariants relied on (established by the link step):
+//   - every function ends with kFellOffEnd, so `ip` never runs past
+//     the end and no per-step bounds check is needed;
+//   - `stack_` holds at least max_stack slots and `locals_` at least
+//     num_locals, so sp never indexes out of the flat buffers;
+//   - branch targets index into the linked stream.
+Status VmInstance::Run(const LinkedFunction& lf, const Value* const* params) {
+  const LInsn* const code = lf.code.data();
+  const LInsn* ip = code;
+  Value* const stack = stack_.data();
+  Value* const locals = locals_.data();
+  Value* const members = members_.data();
+  int sp = 0;
+  int64_t steps = 0;
+  const int64_t max_steps = options_.max_steps_per_invocation;
+  Status ret = Status::OK();
 
-#define VM_LOOP_NAME RunSwitch
-#define VM_LOOP_THREADED 0
-#include "mril/vm_loop.inc"
+  for (;;) {
+    if (++steps > max_steps) goto L_too_many_steps;
+    switch (ip->op) {
+      case LOp::kLoadConst:
+        stack[sp++] = *ip->constant;
+        ++ip;
+        continue;
+      case LOp::kLoadParam:
+        stack[sp++] = *params[ip->a];
+        ++ip;
+        continue;
+      case LOp::kLoadLocal:
+        stack[sp++] = locals[ip->a];
+        ++ip;
+        continue;
+      case LOp::kStoreLocal:
+        // Locals never outlive the invocation (the arena is reset at
+        // the *next* invocation's entry), so no promotion here.
+        locals[ip->a] = std::move(stack[--sp]);
+        ++ip;
+        continue;
+      case LOp::kLoadMember:
+        stack[sp++] = members[ip->a];
+        ++ip;
+        continue;
+      case LOp::kStoreMember: {
+        // Members persist across invocations — promote borrowed strings.
+        Value v = std::move(stack[--sp]);
+        v.EnsureOwned();
+        members[ip->a] = std::move(v);
+        ++ip;
+        continue;
+      }
+      case LOp::kGetField: {
+        Value& slot = stack[sp - 1];
+        if (!slot.is_list()) {
+          ret = TypeError("get_field", slot);
+          goto L_done;
+        }
+        const ValueList& fields = slot.list();
+        const int32_t idx = ip->a;
+        if (static_cast<uint32_t>(idx) >= fields.size()) {
+          ret = Status::InvalidArgument(
+              StrPrintf("get_field %d out of range (%zu fields)", idx,
+                        fields.size()));
+          goto L_done;
+        }
+        // Through a temporary: assigning `slot` drops the record, which
+        // may be the storage `fields[idx]` lives in.
+        Value field = fields[idx];
+        slot = std::move(field);
+        ++ip;
+        continue;
+      }
+      case LOp::kGetFieldNull: {
+        // The field was projected away. The analyzer only removes
+        // fields whose every output-relevant use is absent, so this
+        // read can feed nothing but debug logging — which the paper
+        // explicitly allows optimization to perturb (§2.2/Appendix C).
+        // Observe null.
+        Value& slot = stack[sp - 1];
+        if (!slot.is_list()) {
+          ret = TypeError("get_field", slot);
+          goto L_done;
+        }
+        slot = Value::Null();
+        ++ip;
+        continue;
+      }
+      case LOp::kGetFieldBadRemap: {
+        Value& slot = stack[sp - 1];
+        if (!slot.is_list()) {
+          ret = TypeError("get_field", slot);
+          goto L_done;
+        }
+        ret = Status::Internal(
+            StrPrintf("get_field %d outside the field remap", ip->a));
+        goto L_done;
+      }
+      case LOp::kDup:
+        stack[sp] = stack[sp - 1];
+        ++sp;
+        ++ip;
+        continue;
+      case LOp::kPop:
+        // Clear the slot: a stale reference would pin refcounted
+        // storage (and defeat the engine's unique-list record reuse).
+        stack[--sp] = Value();
+        ++ip;
+        continue;
+      case LOp::kSwap:
+        std::swap(stack[sp - 1], stack[sp - 2]);
+        ++ip;
+        continue;
+
+#define MANIMAL_VM_ARITH_I64(LOPNAME, OPCODE, WRAP_EXPR)             \
+  case LOp::LOPNAME: {                                               \
+    Value& a = stack[sp - 2];                                        \
+    Value& b = stack[sp - 1];                                        \
+    const int64_t* xp = a.if_i64();                                  \
+    const int64_t* yp = b.if_i64();                                  \
+    if (xp != nullptr && yp != nullptr) {                            \
+      const uint64_t ux = static_cast<uint64_t>(*xp);                \
+      const uint64_t uy = static_cast<uint64_t>(*yp);                \
+      a = Value::I64(WRAP_EXPR);                                     \
+    } else {                                                         \
+      Value out;                                                     \
+      ret = ArithSlow(OPCODE, a, b, &out, &arena_);                  \
+      if (!ret.ok()) goto L_done;                                    \
+      a = std::move(out);                                            \
+    }                                                                \
+    b = Value();                                                     \
+    --sp;                                                            \
+    ++ip;                                                            \
+    continue;                                                        \
+  }
+
+      // Arithmetic is defined two's-complement wrapping (via unsigned),
+      // like the JVM's — never C++ signed-overflow UB. Division routes
+      // through the slow path for its zero check.
+      MANIMAL_VM_ARITH_I64(kAdd, Opcode::kAdd, static_cast<int64_t>(ux + uy))
+      MANIMAL_VM_ARITH_I64(kSub, Opcode::kSub, static_cast<int64_t>(ux - uy))
+      MANIMAL_VM_ARITH_I64(kMul, Opcode::kMul, static_cast<int64_t>(ux * uy))
+#undef MANIMAL_VM_ARITH_I64
+
+#define MANIMAL_VM_ARITH_SLOW(LOPNAME, OPCODE)               \
+  case LOp::LOPNAME: {                                       \
+    Value& a = stack[sp - 2];                                \
+    Value& b = stack[sp - 1];                                \
+    Value out;                                               \
+    ret = ArithSlow(OPCODE, a, b, &out, &arena_);            \
+    if (!ret.ok()) goto L_done;                              \
+    a = std::move(out);                                      \
+    b = Value();                                             \
+    --sp;                                                    \
+    ++ip;                                                    \
+    continue;                                                \
+  }
+
+      MANIMAL_VM_ARITH_SLOW(kDiv, Opcode::kDiv)
+      MANIMAL_VM_ARITH_SLOW(kMod, Opcode::kMod)
+#undef MANIMAL_VM_ARITH_SLOW
+
+      case LOp::kNeg: {
+        Value& a = stack[sp - 1];
+        if (const int64_t* x = a.if_i64()) {
+          a = Value::I64(-*x);
+        } else if (const double* d = a.if_f64()) {
+          a = Value::F64(-*d);
+        } else {
+          ret = TypeError("neg", a);
+          goto L_done;
+        }
+        ++ip;
+        continue;
+      }
+
+#define MANIMAL_VM_CMP(LOPNAME, OPCODE, I64_EXPR)  \
+  case LOp::LOPNAME: {                             \
+    Value& a = stack[sp - 2];                      \
+    Value& b = stack[sp - 1];                      \
+    bool cond;                                     \
+    const int64_t* xp = a.if_i64();                \
+    const int64_t* yp = b.if_i64();                \
+    if (xp != nullptr && yp != nullptr) {          \
+      const int64_t x = *xp;                       \
+      const int64_t y = *yp;                       \
+      cond = (I64_EXPR);                           \
+    } else {                                       \
+      ret = CompareSlow(OPCODE, a, b, &cond);      \
+      if (!ret.ok()) goto L_done;                  \
+    }                                              \
+    a = Value::Bool(cond);                         \
+    b = Value();                                   \
+    --sp;                                          \
+    ++ip;                                          \
+    continue;                                      \
+  }
+
+      MANIMAL_VM_CMP(kCmpLt, Opcode::kCmpLt, x < y)
+      MANIMAL_VM_CMP(kCmpLe, Opcode::kCmpLe, x <= y)
+      MANIMAL_VM_CMP(kCmpGt, Opcode::kCmpGt, x > y)
+      MANIMAL_VM_CMP(kCmpGe, Opcode::kCmpGe, x >= y)
+      MANIMAL_VM_CMP(kCmpEq, Opcode::kCmpEq, x == y)
+      MANIMAL_VM_CMP(kCmpNe, Opcode::kCmpNe, x != y)
+#undef MANIMAL_VM_CMP
+
+      case LOp::kAnd: {
+        Value& a = stack[sp - 2];
+        Value& b = stack[sp - 1];
+        const bool* x = a.if_bool();
+        const bool* y = b.if_bool();
+        if (x == nullptr || y == nullptr) {
+          ret = TypeError2("and/or", a, b);
+          goto L_done;
+        }
+        a = Value::Bool(*x && *y);
+        b = Value();
+        --sp;
+        ++ip;
+        continue;
+      }
+      case LOp::kOr: {
+        Value& a = stack[sp - 2];
+        Value& b = stack[sp - 1];
+        const bool* x = a.if_bool();
+        const bool* y = b.if_bool();
+        if (x == nullptr || y == nullptr) {
+          ret = TypeError2("and/or", a, b);
+          goto L_done;
+        }
+        a = Value::Bool(*x || *y);
+        b = Value();
+        --sp;
+        ++ip;
+        continue;
+      }
+      case LOp::kNot: {
+        Value& a = stack[sp - 1];
+        const bool* x = a.if_bool();
+        if (x == nullptr) {
+          ret = TypeError("not", a);
+          goto L_done;
+        }
+        a = Value::Bool(!*x);
+        ++ip;
+        continue;
+      }
+
+      case LOp::kJmp:
+        ip = code + ip->a;
+        continue;
+      case LOp::kJmpIfTrue: {
+        Value& c = stack[--sp];
+        const bool* x = c.if_bool();
+        if (x == nullptr) {
+          ret = TypeError("branch condition", c);
+          goto L_done;
+        }
+        ip = *x ? code + ip->a : ip + 1;
+        c = Value();
+        continue;
+      }
+      case LOp::kJmpIfFalse: {
+        Value& c = stack[--sp];
+        const bool* x = c.if_bool();
+        if (x == nullptr) {
+          ret = TypeError("branch condition", c);
+          goto L_done;
+        }
+        ip = *x ? ip + 1 : code + ip->a;
+        c = Value();
+        continue;
+      }
+
+      case LOp::kCall: {
+        // a = arity, b = builtin id. Arguments are a slice of the
+        // operand stack; the result is computed into a temporary (it
+        // may alias args semantically) and moved into the freed slot.
+        const Builtin* bi = ip->builtin;
+        const int arity = ip->a;
+        ++builtin_calls_[ip->b];
+        Value result;
+        ret = bi->fn(stack + (sp - arity), &result);
+        if (!ret.ok()) goto L_done;
+        for (int i = 0; i < arity; ++i) stack[--sp] = Value();
+        stack[sp++] = std::move(result);
+        ++ip;
+        continue;
+      }
+
+      case LOp::kEmit: {
+        Value value = std::move(stack[--sp]);
+        Value key = std::move(stack[--sp]);
+        if (emit_) {
+          // The sink may retain the pair past this record's buffers.
+          key.EnsureOwned();
+          value.EnsureOwned();
+          ret = emit_(key, value);
+          if (!ret.ok()) goto L_done;
+        }
+        ++ip;
+        continue;
+      }
+      case LOp::kLog: {
+        Value v = std::move(stack[--sp]);
+        if (log_) {
+          v.EnsureOwned();
+          log_(v);
+        }
+        ++ip;
+        continue;
+      }
+      case LOp::kReturn:
+        goto L_done;
+
+      case LOp::kLoadParamField: {
+        // Fused LoadParam a; GetField b — the dominant record-access
+        // pattern. The param is read in place: no refcount traffic on
+        // the record list.
+        const Value& rec = *params[ip->a];
+        if (!rec.is_list()) {
+          ret = TypeError("get_field", rec);
+          goto L_done;
+        }
+        const ValueList& fields = rec.list();
+        const int32_t idx = ip->b;
+        if (static_cast<uint32_t>(idx) >= fields.size()) {
+          ret = Status::InvalidArgument(
+              StrPrintf("get_field %d out of range (%zu fields)", idx,
+                        fields.size()));
+          goto L_done;
+        }
+        stack[sp++] = fields[idx];
+        ++ip;
+        continue;
+      }
+
+#define MANIMAL_VM_CMPBR(LOPNAME, OPCODE, I64_EXPR)        \
+  case LOp::LOPNAME: {                                     \
+    Value& a = stack[sp - 2];                              \
+    Value& b = stack[sp - 1];                              \
+    bool cond;                                             \
+    const int64_t* xp = a.if_i64();                        \
+    const int64_t* yp = b.if_i64();                        \
+    if (xp != nullptr && yp != nullptr) {                  \
+      const int64_t x = *xp;                               \
+      const int64_t y = *yp;                               \
+      cond = (I64_EXPR);                                   \
+    } else {                                               \
+      ret = CompareSlow(OPCODE, a, b, &cond);              \
+      if (!ret.ok()) goto L_done;                          \
+    }                                                      \
+    a = Value();                                           \
+    b = Value();                                           \
+    sp -= 2;                                               \
+    ip = (cond == (ip->b != 0)) ? code + ip->a : ip + 1;   \
+    continue;                                              \
+  }
+
+      MANIMAL_VM_CMPBR(kCmpLtBr, Opcode::kCmpLt, x < y)
+      MANIMAL_VM_CMPBR(kCmpLeBr, Opcode::kCmpLe, x <= y)
+      MANIMAL_VM_CMPBR(kCmpGtBr, Opcode::kCmpGt, x > y)
+      MANIMAL_VM_CMPBR(kCmpGeBr, Opcode::kCmpGe, x >= y)
+      MANIMAL_VM_CMPBR(kCmpEqBr, Opcode::kCmpEq, x == y)
+      MANIMAL_VM_CMPBR(kCmpNeBr, Opcode::kCmpNe, x != y)
+#undef MANIMAL_VM_CMPBR
+
+      case LOp::kFellOffEnd:
+        ret = Status::Internal(lf.source->name +
+                               ": fell off end of bytecode");
+        goto L_done;
+    }
+  }
+
+L_too_many_steps:
+  ret = Status::Internal(
+      StrPrintf("%s: exceeded %lld steps (infinite loop?)",
+                lf.source->name.c_str(), static_cast<long long>(max_steps)));
+L_done:
+  total_steps_ += steps;
+  // Drop anything the invocation left behind: stale stack/locals
+  // references would pin record storage (blocking the engine's
+  // unique-list reuse) and may point into the arena, which the next
+  // invocation resets.
+  for (int i = 0; i < sp; ++i) stack[i] = Value();
+  for (int i = 0; i < lf.num_locals; ++i) locals[i] = Value();
+  return ret;
+}
 
 }  // namespace manimal::mril

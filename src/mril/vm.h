@@ -7,14 +7,12 @@
 // sink, the log sink, and step limits.
 //
 // Construction links the program (see mril/link.h) into a resolved
-// instruction stream, and each invocation executes that stream with
-// direct-threaded (computed-goto) dispatch where the compiler supports
-// it, or a portable switch loop otherwise. Operand stack and locals
-// live in flat buffers sized once from the link step's exact
-// high-water marks, and string temporaries (concats) go into a
-// per-instance ValueArena that is reset — not freed — at each
-// invocation entry, so the per-record hot path performs no heap
-// allocation. See docs/mril.md "VM internals".
+// instruction stream, and each invocation executes that stream in one
+// portable switch loop. Operand stack and locals live in flat buffers
+// sized once from the link step's exact high-water marks, and string
+// temporaries (concats) go into a per-instance ValueArena that is
+// reset — not freed — at each invocation entry, so the per-record hot
+// path performs no heap allocation. See docs/mril.md "VM internals".
 
 #ifndef MANIMAL_MRIL_VM_H_
 #define MANIMAL_MRIL_VM_H_
@@ -28,16 +26,6 @@
 #include "mril/link.h"
 #include "mril/program.h"
 
-// Computed-goto dispatch needs the GNU labels-as-values extension;
-// define MANIMAL_VM_SWITCH_DISPATCH (cmake -DMANIMAL_VM_SWITCH_DISPATCH=ON)
-// to force the portable switch loop even where the extension exists.
-#if !defined(MANIMAL_VM_SWITCH_DISPATCH) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define MANIMAL_VM_THREADED_DISPATCH 1
-#else
-#define MANIMAL_VM_THREADED_DISPATCH 0
-#endif
-
 namespace manimal::mril {
 
 // Receives (key, value) pairs emitted by user code. The VM promotes
@@ -48,12 +36,6 @@ using EmitSink = std::function<Status(const Value& key, const Value& value)>;
 // Receives values passed to the `log` side-effect instruction
 // (promoted like emits).
 using LogSink = std::function<void(const Value& value)>;
-
-enum class VmDispatch {
-  kAuto,      // threaded where available, else switch
-  kThreaded,  // computed-goto (falls back to switch if unavailable)
-  kSwitch,    // portable switch loop
-};
 
 struct VmOptions {
   // Abort an invocation after this many executed instructions (guards
@@ -68,16 +50,7 @@ struct VmOptions {
   // fields it proved the program never reads, so a -1 access is an
   // internal error. Folded into the instruction stream at link time.
   std::vector<int> field_remap;
-
-  // Dispatch backend. The MANIMAL_VM_DISPATCH environment variable
-  // ("threaded" / "switch") overrides kAuto at construction.
-  VmDispatch dispatch = VmDispatch::kAuto;
 };
-
-// True when this build can execute with computed-goto dispatch.
-constexpr bool ThreadedDispatchAvailable() {
-  return MANIMAL_VM_THREADED_DISPATCH != 0;
-}
 
 class VmInstance {
  public:
@@ -112,24 +85,17 @@ class VmInstance {
   // Introspection for tests/telemetry.
   const LinkedProgram& linked() const { return linked_; }
   const Status& link_status() const { return link_status_; }
-  // Which backend Invoke* actually uses after resolving kAuto, the
-  // env override, and build availability.
-  VmDispatch effective_dispatch() const { return dispatch_; }
 
  private:
   Status Invoke(const LinkedFunction& fn, const Value& p0, const Value& p1);
 
-  // The interpreter loop, generated twice from vm_loop.inc.
-#if MANIMAL_VM_THREADED_DISPATCH
-  Status RunThreaded(const LinkedFunction& fn, const Value* const* params);
-#endif
-  Status RunSwitch(const LinkedFunction& fn, const Value* const* params);
+  // The interpreter loop.
+  Status Run(const LinkedFunction& fn, const Value* const* params);
 
   const Program* program_;
   VmOptions options_;
   LinkedProgram linked_;
   Status link_status_;
-  VmDispatch dispatch_ = VmDispatch::kSwitch;
   std::vector<Value> members_;
   EmitSink emit_;
   LogSink log_;

@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "codegen/dlopen_kernel.h"
 #include "codegen/kernel.h"
 #include "codegen/shape.h"
 #include "common/env.h"
@@ -101,9 +100,9 @@ Trace RunKernel(const mril::Program& program,
   return trace;
 }
 
-// Compiles `program` (closure engine) and checks kernel-vs-VM
-// equivalence over `records`; returns the kernel trace so callers can
-// additionally assert on bailout counts.
+// Compiles `program` and checks kernel-vs-VM equivalence over
+// `records`; returns the kernel trace so callers can additionally
+// assert on bailout counts.
 Trace ExpectKernelMatchesVm(const mril::Program& program,
                             const std::vector<Value>& records,
                             const std::vector<int>& field_remap = {}) {
@@ -457,64 +456,6 @@ TEST(KernelEquivalence, SelectivityOrderingDoesNotChangeResults) {
     EXPECT_EQ(vm.statuses, native.statuses);
     EXPECT_EQ(native.bailouts, 0);
   }
-}
-
-// ---------------------------------------------------------------
-// Emitted (dlopen) engine.
-
-TEST(EmittedEngine, NarrowFamilyCompilesAndAgrees) {
-  if (!codegen::EmittedKernelAvailable()) {
-    GTEST_SKIP() << "MANIMAL_CODEGEN_DLOPEN=OFF";
-  }
-  ProgramBuilder b("narrow");
-  b.SetKeyType(FieldType::kI64);
-  b.SetValueSchema(workloads::WebPagesSchema());
-  FunctionBuilder& m = b.Map();
-  m.LoadParam(1).GetField("rank").LoadI64(25).CmpGe().JmpIfFalse("end");
-  m.LoadParam(1).GetField("rank");
-  m.LoadParam(1);  // whole-record value
-  m.Emit();
-  m.Label("end").Ret();
-  mril::Program program = b.Build();
-
-  CompileOptions options;
-  options.engine = CompileOptions::Engine::kEmitted;
-  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const NativeKernel> kernel,
-                       CompileKernel(program, options));
-  EXPECT_NE(kernel->Describe().find("emitted"), std::string::npos);
-
-  std::vector<Value> records = {
-      WebPage("http://a", 30, "x"),
-      WebPage("http://b", 10, "y"),
-      WebPage("http://c", 25, "z"),
-      Value::List({Value::Str("http://short")}),  // bails
-  };
-  Trace vm = RunVm(program, records);
-  Trace native = RunKernel(program, records, kernel);
-  EXPECT_EQ(vm.emits, native.emits);
-  EXPECT_EQ(vm.statuses, native.statuses);
-}
-
-TEST(EmittedEngine, WideShapesReportNotSupported) {
-  if (!codegen::EmittedKernelAvailable()) {
-    GTEST_SKIP() << "MANIMAL_CODEGEN_DLOPEN=OFF";
-  }
-  // String predicate: outside the emitted family; the engine must say
-  // so rather than produce a wrong kernel.
-  ProgramBuilder b("wide");
-  b.SetKeyType(FieldType::kStr);
-  b.SetValueSchema(workloads::WebPagesSchema());
-  FunctionBuilder& m = b.Map();
-  m.LoadParam(1).GetField("url").LoadStr("x").Call("str.contains");
-  m.JmpIfFalse("end");
-  m.LoadParam(1).GetField("url").LoadI64(1).Emit();
-  m.Label("end").Ret();
-  CompileOptions options;
-  options.engine = CompileOptions::Engine::kEmitted;
-  Result<std::shared_ptr<const NativeKernel>> kernel =
-      CompileKernel(b.Build(), options);
-  ASSERT_FALSE(kernel.ok());
-  EXPECT_EQ(kernel.status().code(), StatusCode::kNotSupported);
 }
 
 }  // namespace

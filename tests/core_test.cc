@@ -134,5 +134,38 @@ TEST(ManimalSystemTest, BaselineNeverConsultsCatalog) {
   EXPECT_EQ(baseline.counters.map_invocations, 500u);
 }
 
+// Each call removes the scratch directory it took under <workspace>/tmp
+// when it returns, whether it succeeded or failed.
+TEST(ManimalSystemTest, CallsLeaveNoScratchDirectories) {
+  TempDir dir("core6");
+  workloads::WebPagesOptions gen;
+  gen.num_pages = 500;
+  gen.content_len = 64;
+  ASSERT_OK(
+      workloads::GenerateWebPages(dir.file("pages.msq"), gen).status());
+  ASSERT_OK_AND_ASSIGN(auto system,
+                       ManimalSystem::Open(BaseOptions(dir.file("ws"))));
+  mril::Program program = workloads::SelectionCountQuery(50);
+  ASSERT_OK_AND_ASSIGN(auto report, analyzer::Analyze(program));
+  auto specs = analyzer::SynthesizeIndexPrograms(program, report);
+  ASSERT_FALSE(specs.empty());
+  ASSERT_OK(system->BuildIndex(specs[0], dir.file("pages.msq")).status());
+
+  ManimalSystem::Submission job;
+  job.program = program;
+  job.input_path = dir.file("pages.msq");
+  job.output_path = dir.file("out.prs");
+  ASSERT_OK(system->Submit(job).status());
+  job.output_path = dir.file("base.prs");
+  ASSERT_OK(system->RunBaseline(job).status());
+  // Fails after the engine has created its scratch directory.
+  job.input_path = dir.file("missing.msq");
+  EXPECT_FALSE(system->RunBaseline(job).ok());
+
+  ASSERT_OK_AND_ASSIGN(std::vector<std::string> left,
+                       ListDir(dir.file("ws/tmp")));
+  EXPECT_EQ(left, std::vector<std::string>{});
+}
+
 }  // namespace
 }  // namespace manimal::core

@@ -192,15 +192,11 @@ GeneratedProgram GenerateProvableSelectionProgram(uint64_t seed,
   GeneratedProgram out;
   std::string& desc = out.description;
 
-  // Narrow seeds stay inside the emitted (dlopen) engine's family:
-  // i64-field-vs-constant predicates, i64 keys, scalar/record values.
-  const bool narrow = rng.Uniform(3) == 0;
   const int num_preds = static_cast<int>(rng.Uniform(4));  // 0..3
-  // 0 = i64 one, 1 = rank field, 2 = url field (wide only),
-  // 3 = whole record.
-  const uint64_t value_pick = rng.Uniform(narrow ? 2 : 4);
-  // 0 = rank, 1 = rank+c, 2 = url (wide only), 3 = rank%m (wide only).
-  const uint64_t key_pick = rng.Uniform(narrow ? 2 : 4);
+  // 0 = i64 one, 1 = rank field, 2 = url field, 3 = whole record.
+  const uint64_t value_pick = rng.Uniform(4);
+  // 0 = rank, 1 = rank+c, 2 = url, 3 = rank%m.
+  const uint64_t key_pick = rng.Uniform(4);
   const bool count_reduce = value_pick != 3 && rng.Uniform(2) == 0;
 
   ProgramBuilder b(StrPrintf("genp-%llu",
@@ -209,10 +205,9 @@ GeneratedProgram GenerateProvableSelectionProgram(uint64_t seed,
   b.SetValueSchema(workloads::WebPagesSchema());
 
   FunctionBuilder& m = b.Map();
-  desc = narrow ? "narrow preds:[" : "preds:[";
+  desc = "preds:[";
   for (int i = 0; i < num_preds; ++i) {
-    const auto pred =
-        static_cast<PredKind>(rng.Uniform(narrow ? 4 : 6));
+    const auto pred = static_cast<PredKind>(rng.Uniform(6));
     const int64_t threshold =
         static_cast<int64_t>(rng.Uniform(static_cast<uint64_t>(
             rank_range > 0 ? rank_range : 1)));

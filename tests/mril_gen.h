@@ -34,10 +34,9 @@ GeneratedProgram GenerateWebPagesProgram(uint64_t seed,
 // — single emit site, straight-line control flow with conditional
 // early exits, no side effects, every branch condition and emit
 // operand functional — so codegen::ExtractShape must admit all of
-// them (tests/vm_dispatch_test.cc asserts exactly that). Roughly a
-// third of seeds stay inside the narrow i64-field-vs-constant family
-// the emitted (dlopen) engine covers; the rest exercise string
-// predicates and arena-allocated emit values on the closure engine.
+// them (tests/vm_dispatch_test.cc asserts exactly that). Seeds mix
+// i64 comparisons with string predicates and arena-allocated emit
+// values.
 GeneratedProgram GenerateProvableSelectionProgram(uint64_t seed,
                                                   int64_t rank_range);
 

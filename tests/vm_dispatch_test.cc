@@ -1,13 +1,12 @@
-// Dispatch-backend differential tests plus unit coverage for the VM
-// hot-path machinery: the threaded and switch interpreter backends
-// must be observationally identical (same emits, same logs, same step
-// counts, same error statuses) on every corpus program and on a seeded
-// fuzz corpus; detected-relational programs additionally get a THIRD
-// leg — the native codegen kernel (with per-record VM replay on
-// bailout, the engine's contract) must produce byte-identical traces
-// to both VM backends; Value's three string storage classes (inline,
-// owned, borrowed) must be interchangeable wherever kind() == kStr;
-// and the str.word_at sequential-scan memo must survive buffer reuse.
+// The VM-vs-native-kernel differential plus unit coverage for the VM
+// hot-path machinery: detected-relational programs compiled to a
+// native codegen kernel (with per-record VM replay on bailout, the
+// engine's contract) must produce byte-identical traces to the VM on
+// the corpus and on a seeded fuzz corpus; a VM run must not depend on
+// whether record strings are borrowed or owned; Value's three string
+// storage classes (inline, owned, borrowed) must be interchangeable
+// wherever kind() == kStr; and the str.word_at sequential-scan memo
+// must survive buffer reuse.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "codegen/dlopen_kernel.h"
 #include "codegen/kernel.h"
 #include "codegen/shape.h"
 #include "common/env.h"
@@ -40,14 +38,13 @@
 namespace manimal {
 namespace {
 
-using mril::VmDispatch;
 using mril::VmInstance;
 using mril::VmOptions;
 
 // ---------------------------------------------------------------
 // Differential harness: run a program's map (and reduce, when
-// present) over a deterministic input set under one backend and
-// record everything observable.
+// present) over a deterministic input set and record everything
+// observable.
 
 struct RunTrace {
   std::vector<std::string> emits;     // "key -> value", in order
@@ -55,11 +52,6 @@ struct RunTrace {
   std::vector<std::string> statuses;  // one per invocation
   int64_t steps = 0;
 };
-
-bool operator==(const RunTrace& a, const RunTrace& b) {
-  return a.emits == b.emits && a.logs == b.logs &&
-         a.statuses == b.statuses && a.steps == b.steps;
-}
 
 // WebPages-shaped records (url STR, rank I64, content STR) — the
 // schema shared by the corpus programs and the mril_gen generator.
@@ -88,16 +80,31 @@ std::vector<Value> MakeWebPagesRecords(uint64_t seed, int count,
   return records;
 }
 
-RunTrace RunUnderDispatch(const mril::Program& program,
-                          const std::vector<Value>& records,
-                          VmDispatch dispatch) {
+// Groups map output by key (first-seen order) and reduces each group
+// on `vm`, capturing reduce-side emits and statuses into `trace`.
+void RunReduce(const mril::Program& program, VmInstance* vm,
+               std::vector<std::pair<Value, Value>> emitted,
+               RunTrace* trace) {
+  if (!program.has_reduce()) return;
+  std::vector<std::pair<Value, ValueList>> groups;
+  std::map<std::string, size_t> index;
+  for (auto& [k, v] : emitted) {
+    auto [it, inserted] = index.emplace(k.ToString(), groups.size());
+    if (inserted) groups.emplace_back(k, ValueList{});
+    groups[it->second].second.push_back(std::move(v));
+  }
+  for (auto& [key, values] : groups) {
+    Status s = vm->InvokeReduce(key, Value::List(std::move(values)));
+    trace->statuses.push_back(s.ToString());
+  }
+}
+
+RunTrace RunVm(const mril::Program& program,
+               const std::vector<Value>& records) {
   RunTrace trace;
   VmOptions options;
-  options.dispatch = dispatch;
   options.max_steps_per_invocation = 2'000'000;
   VmInstance vm(&program, options);
-  // The traces must come from the backends they claim to.
-  EXPECT_EQ(vm.effective_dispatch(), dispatch);
 
   std::vector<std::pair<Value, Value>> emitted;
   vm.set_emit_sink([&](const Value& k, const Value& v) {
@@ -114,51 +121,21 @@ RunTrace RunUnderDispatch(const mril::Program& program,
                             records[i]);
     trace.statuses.push_back(s.ToString());
   }
-
-  if (program.has_reduce()) {
-    // Group map output by key (first-seen order) and reduce each
-    // group, capturing reduce-side emits into the same trace.
-    std::vector<std::pair<Value, ValueList>> groups;
-    std::map<std::string, size_t> index;
-    for (auto& [k, v] : emitted) {
-      auto [it, inserted] = index.emplace(k.ToString(), groups.size());
-      if (inserted) groups.emplace_back(k, ValueList{});
-      groups[it->second].second.push_back(std::move(v));
-    }
-    for (auto& [key, values] : groups) {
-      Status s = vm.InvokeReduce(key, Value::List(std::move(values)));
-      trace.statuses.push_back(s.ToString());
-    }
-  }
+  RunReduce(program, &vm, std::move(emitted), &trace);
   trace.steps = vm.total_steps();
   return trace;
 }
 
-void ExpectBackendsAgree(const mril::Program& program,
-                         const std::vector<Value>& records) {
-  RunTrace sw = RunUnderDispatch(program, records, VmDispatch::kSwitch);
-  RunTrace th = RunUnderDispatch(program, records, VmDispatch::kThreaded);
-  EXPECT_EQ(sw.emits, th.emits);
-  EXPECT_EQ(sw.logs, th.logs);
-  EXPECT_EQ(sw.statuses, th.statuses);
-  EXPECT_EQ(sw.steps, th.steps);
-}
-
-// ---------------------------------------------------------------
-// Third leg: the native codegen kernel. Same observables as
-// RunUnderDispatch, with the engine's contract applied verbatim —
-// every kBailout record is replayed through a (switch-dispatch) VM,
-// which reproduces emits, logs, and error statuses. VM step counts
-// are not comparable across tiers, so steps stays 0 and the three-way
-// comparison checks emits/logs/statuses only.
-
+// The native codegen kernel. Same observables as RunVm, with the
+// engine's contract applied verbatim — every kBailout record is
+// replayed through a VM, which reproduces emits, logs, and error
+// statuses. VM step counts are not comparable across tiers, so steps
+// stays 0 and the comparison checks emits/logs/statuses only.
 RunTrace RunUnderKernel(
     const mril::Program& program, const std::vector<Value>& records,
     const std::shared_ptr<const codegen::NativeKernel>& kernel) {
   RunTrace trace;
-  VmOptions options;
-  options.dispatch = VmDispatch::kSwitch;
-  VmInstance vm(&program, options);
+  VmInstance vm(&program, VmOptions{});
 
   std::vector<std::pair<Value, Value>> emitted;
   auto record_emit = [&](const Value& k, const Value& v) {
@@ -186,69 +163,23 @@ RunTrace RunUnderKernel(
     }
     trace.statuses.push_back(Status::OK().ToString());
   }
-
-  if (program.has_reduce()) {
-    std::vector<std::pair<Value, ValueList>> groups;
-    std::map<std::string, size_t> index;
-    for (auto& [k, v] : emitted) {
-      auto [it, inserted] = index.emplace(k.ToString(), groups.size());
-      if (inserted) groups.emplace_back(k, ValueList{});
-      groups[it->second].second.push_back(std::move(v));
-    }
-    for (auto& [key, values] : groups) {
-      Status s = vm.InvokeReduce(key, Value::List(std::move(values)));
-      trace.statuses.push_back(s.ToString());
-    }
-  }
+  RunReduce(program, &vm, std::move(emitted), &trace);
   return trace;
 }
 
-// Runs the full three-way comparison for one admitted program: switch
-// VM vs threaded VM (all observables including steps), then each
-// compilable kernel engine vs the switch VM (emits/logs/statuses).
-// Returns the number of kernel engines exercised.
-int ExpectThreeWayAgree(const mril::Program& program,
-                        const std::vector<Value>& records) {
-  RunTrace sw = RunUnderDispatch(program, records, VmDispatch::kSwitch);
-  if (mril::ThreadedDispatchAvailable()) {
-    RunTrace th =
-        RunUnderDispatch(program, records, VmDispatch::kThreaded);
-    EXPECT_EQ(sw.emits, th.emits);
-    EXPECT_EQ(sw.logs, th.logs);
-    EXPECT_EQ(sw.statuses, th.statuses);
-    EXPECT_EQ(sw.steps, th.steps);
-  }
-  int engines = 0;
-  const codegen::CompileOptions::Engine kEngines[] = {
-      codegen::CompileOptions::Engine::kClosure,
-      codegen::CompileOptions::Engine::kEmitted,
-  };
-  for (const auto engine : kEngines) {
-    if (engine == codegen::CompileOptions::Engine::kEmitted &&
-        !codegen::EmittedKernelAvailable()) {
-      continue;
-    }
-    codegen::CompileOptions options;
-    options.engine = engine;
-    Result<std::shared_ptr<const codegen::NativeKernel>> kernel =
-        codegen::CompileKernel(program, options);
-    if (!kernel.ok()) {
-      // The emitted engine covers a narrower family; NotSupported is
-      // its documented answer for the rest. The closure engine must
-      // cover every admitted shape.
-      EXPECT_EQ(kernel.status().code(), StatusCode::kNotSupported);
-      EXPECT_NE(engine, codegen::CompileOptions::Engine::kClosure)
-          << kernel.status().ToString();
-      continue;
-    }
-    SCOPED_TRACE((*kernel)->Describe());
-    RunTrace native = RunUnderKernel(program, records, *kernel);
-    EXPECT_EQ(sw.emits, native.emits);
-    EXPECT_EQ(sw.logs, native.logs);
-    EXPECT_EQ(sw.statuses, native.statuses);
-    ++engines;
-  }
-  return engines;
+// Compiles an admitted program and checks the kernel against the VM
+// (emits/logs/statuses). The kernel must cover every admitted shape.
+void ExpectKernelMatchesVm(const mril::Program& program,
+                           const std::vector<Value>& records) {
+  Result<std::shared_ptr<const codegen::NativeKernel>> kernel =
+      codegen::CompileKernel(program, codegen::CompileOptions{});
+  ASSERT_OK(kernel.status());
+  SCOPED_TRACE((*kernel)->Describe());
+  RunTrace vm = RunVm(program, records);
+  RunTrace native = RunUnderKernel(program, records, *kernel);
+  EXPECT_EQ(vm.emits, native.emits);
+  EXPECT_EQ(vm.logs, native.logs);
+  EXPECT_EQ(vm.statuses, native.statuses);
 }
 
 std::vector<std::string> CorpusFiles() {
@@ -265,53 +196,12 @@ std::vector<std::string> CorpusFiles() {
   return paths;
 }
 
-TEST(VmDispatchDifferential, CorpusProgramsAgreeAcrossBackends) {
-  if (!mril::ThreadedDispatchAvailable()) {
-    GTEST_SKIP() << "threaded dispatch not compiled in";
-  }
-  std::vector<std::string> files = CorpusFiles();
-  ASSERT_GE(files.size(), 4u)
-      << "corpus missing at " << MANIMAL_TEST_CORPUS_DIR;
-  std::vector<Value> records = MakeWebPagesRecords(/*seed=*/7, 128,
-                                                   /*rank_range=*/100);
-  for (const std::string& path : files) {
-    SCOPED_TRACE(path);
-    ASSERT_OK_AND_ASSIGN(std::string text, ReadFileToString(path));
-    ASSERT_OK_AND_ASSIGN(mril::Program program,
-                         mril::AssembleProgram(text));
-    ASSERT_OK(mril::VerifyProgram(program));
-    ExpectBackendsAgree(program, records);
-  }
-}
-
-class VmDispatchFuzz : public ::testing::TestWithParam<int> {};
-
-TEST_P(VmDispatchFuzz, GeneratedProgramsAgreeAcrossBackends) {
-  if (!mril::ThreadedDispatchAvailable()) {
-    GTEST_SKIP() << "threaded dispatch not compiled in";
-  }
-  constexpr int64_t kRankRange = 1000;
-  std::vector<Value> records = MakeWebPagesRecords(
-      /*seed=*/99, 64, kRankRange);
-  for (int i = 0; i < 40; ++i) {
-    uint64_t seed = static_cast<uint64_t>(GetParam()) * 1000 + i;
-    testing::GeneratedProgram gen =
-        testing::GenerateWebPagesProgram(seed, kRankRange);
-    SCOPED_TRACE(StrPrintf("seed %llu, shape: %s",
-                           static_cast<unsigned long long>(seed),
-                           gen.description.c_str()));
-    ExpectBackendsAgree(gen.program, records);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, VmDispatchFuzz, ::testing::Range(0, 5));
-
 // ---------------------------------------------------------------
-// Three-way differential: switch VM / threaded VM / native kernel.
+// VM vs native kernel.
 
 // Every corpus program whose map the admission gate accepts runs the
-// full three-way comparison; the corpus is known to contain admitted
-// selection/projection programs, so at least one must qualify.
+// comparison; the corpus is known to contain admitted selection/
+// projection programs, so at least one must qualify.
 TEST(ThreeWayDifferential, AdmittedCorpusProgramsAgree) {
   std::vector<std::string> files = CorpusFiles();
   ASSERT_GE(files.size(), 4u)
@@ -327,22 +217,21 @@ TEST(ThreeWayDifferential, AdmittedCorpusProgramsAgree) {
     ASSERT_OK(mril::VerifyProgram(program));
     if (!codegen::ExtractShape(program).ok()) continue;
     ++admitted;
-    EXPECT_GE(ExpectThreeWayAgree(program, records), 1);
+    ExpectKernelMatchesVm(program, records);
   }
   EXPECT_GE(admitted, 1) << "no corpus program passed the admission "
-                            "gate; the three-way suite ran empty";
+                            "gate; the differential ran empty";
 }
 
 // The provable-shape generator mode: every seed must pass the
-// admission gate by construction AND agree across all three tiers,
-// over inputs that include borrowed (zero-copy) string fields.
+// admission gate by construction AND agree with the VM, over inputs
+// that include borrowed (zero-copy) string fields.
 class ThreeWayFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(ThreeWayFuzz, ProvableGeneratedProgramsAgree) {
   constexpr int64_t kRankRange = 1000;
   std::vector<Value> records = MakeWebPagesRecords(
       /*seed=*/99, 64, kRankRange);
-  int emitted_engine_runs = 0;
   for (int i = 0; i < 25; ++i) {
     uint64_t seed = static_cast<uint64_t>(GetParam()) * 1000 + i;
     testing::GeneratedProgram gen =
@@ -351,33 +240,26 @@ TEST_P(ThreeWayFuzz, ProvableGeneratedProgramsAgree) {
                            static_cast<unsigned long long>(seed),
                            gen.description.c_str()));
     ASSERT_OK(mril::VerifyProgram(gen.program));
-    Result<codegen::RelationalShape> shape =
-        codegen::ExtractShape(gen.program);
     // The provable mode's whole contract: the admission gate takes
     // every generated seed.
-    ASSERT_OK(shape.status());
-    emitted_engine_runs += ExpectThreeWayAgree(gen.program, records) - 1;
-  }
-  if (codegen::EmittedKernelAvailable()) {
-    // The narrow seeds must actually reach the dlopen engine — a
-    // silent universal fallback would make this suite two-way.
-    EXPECT_GE(emitted_engine_runs, 1);
+    ASSERT_OK(codegen::ExtractShape(gen.program).status());
+    ExpectKernelMatchesVm(gen.program, records);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ThreeWayFuzz, ::testing::Range(1, 5));
 
-// Borrowed record strings must behave identically too: the same
-// program over the same bytes, with str fields decoded as views into
-// an external buffer, must produce byte-identical traces.
-TEST(VmDispatchDifferential, BorrowedRecordStringsAgreeAcrossBackends) {
-  if (!mril::ThreadedDispatchAvailable()) {
-    GTEST_SKIP() << "threaded dispatch not compiled in";
-  }
+// ---------------------------------------------------------------
+// Value storage classes.
+
+// A VM run must not depend on how record strings are stored: the
+// corpus programs over records whose str fields borrow an external
+// buffer trace byte-identically (steps included) to the same records
+// held as owned strings.
+TEST(ValueStorage, BorrowedRecordStringsRunLikeOwned) {
   // Backing store outliving every invocation (the engine guarantees
   // this by consuming each record before advancing the split).
   std::vector<std::string> backing;
-  std::vector<Value> records;
   Rng rng(1234);
   for (int i = 0; i < 64; ++i) {
     backing.push_back(StrPrintf("http://borrowed.example.com/%d/%d", i,
@@ -386,22 +268,33 @@ TEST(VmDispatchDifferential, BorrowedRecordStringsAgreeAcrossBackends) {
         "lorem ipsum manimal lorem dolor sit amet content row " +
         std::to_string(i));
   }
+  std::vector<Value> borrowed, owned;
   for (int i = 0; i < 64; ++i) {
-    records.push_back(Value::List({Value::Borrowed(backing[2 * i]),
-                                   Value::I64(i * 13 % 97),
-                                   Value::Borrowed(backing[2 * i + 1])}));
+    borrowed.push_back(Value::List({Value::Borrowed(backing[2 * i]),
+                                    Value::I64(i * 13 % 97),
+                                    Value::Borrowed(backing[2 * i + 1])}));
+    owned.push_back(Value::List({Value::Str(backing[2 * i]),
+                                 Value::I64(i * 13 % 97),
+                                 Value::Str(backing[2 * i + 1])}));
   }
-  for (const std::string& path : CorpusFiles()) {
+  ASSERT_TRUE(borrowed[0].HasBorrowedStr());
+  ASSERT_FALSE(owned[0].HasBorrowedStr());
+  std::vector<std::string> files = CorpusFiles();
+  ASSERT_GE(files.size(), 4u)
+      << "corpus missing at " << MANIMAL_TEST_CORPUS_DIR;
+  for (const std::string& path : files) {
     SCOPED_TRACE(path);
     ASSERT_OK_AND_ASSIGN(std::string text, ReadFileToString(path));
     ASSERT_OK_AND_ASSIGN(mril::Program program,
                          mril::AssembleProgram(text));
-    ExpectBackendsAgree(program, records);
+    RunTrace from_borrowed = RunVm(program, borrowed);
+    RunTrace from_owned = RunVm(program, owned);
+    EXPECT_EQ(from_borrowed.emits, from_owned.emits);
+    EXPECT_EQ(from_borrowed.logs, from_owned.logs);
+    EXPECT_EQ(from_borrowed.statuses, from_owned.statuses);
+    EXPECT_EQ(from_borrowed.steps, from_owned.steps);
   }
 }
-
-// ---------------------------------------------------------------
-// Value storage classes.
 
 TEST(ValueStorage, ShortStringsAreInlineNotBorrowed) {
   std::string s(kInlineStrCap, 'x');
