@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <system_error>
 
@@ -56,21 +55,6 @@ Result<std::unique_ptr<ManimalSystem>> ManimalSystem::Open(
     const char* path = std::getenv("MANIMAL_EXPLAIN_PATH");
     if (path != nullptr) system->options_.explain_path = path;
   }
-  // Environment defaults for adaptive replanning.
-  if (!system->options_.adaptive_replan) {
-    const char* v = std::getenv("MANIMAL_REPLAN");
-    system->options_.adaptive_replan =
-        v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0 &&
-        std::strcmp(v, "off") != 0 && std::strcmp(v, "false") != 0;
-  }
-  if (const char* v = std::getenv("MANIMAL_REPLAN_DRIFT")) {
-    const double ratio = std::atof(v);
-    if (ratio > 1.0) system->options_.replan_drift_ratio = ratio;
-  }
-  if (const char* v = std::getenv("MANIMAL_REPLAN_SPLITS")) {
-    const int splits = std::atoi(v);
-    if (splits > 0) system->options_.replan_min_splits = splits;
-  }
   return system;
 }
 
@@ -92,9 +76,6 @@ exec::JobConfig ManimalSystem::MakeJobConfig(
   // predicate observation the engine only collects when asked.
   config.collect_task_stats =
       options_.explain == optimizer::ExplainMode::kAnalyze;
-  config.enable_replan = options_.adaptive_replan;
-  config.replan_drift_ratio = options_.replan_drift_ratio;
-  config.replan_min_splits = options_.replan_min_splits;
   config.backend = options_.backend;
   return config;
 }
@@ -156,40 +137,10 @@ Result<ManimalSystem::SubmitOutcome> ManimalSystem::SubmitWithReport(
       outcome.plan,
       optimizer::BuildPlan(submission.program, submission.input_path,
                            outcome.report, *catalog_, planning));
-  exec::JobConfig config = MakeJobConfig(submission.output_path);
-  if (options_.adaptive_replan &&
-      outcome.plan.descriptor.access_path == exec::AccessPath::kSeqScan) {
-    // The fabric calls back with the observed selectivity; re-enter
-    // cost-based planning with it and hand back the winner only when
-    // it is a locator tree over the very file the scan is reading —
-    // the one substitution that keeps output byte-identical.
-    // Captured references outlive the callback: RunJob below runs
-    // synchronously on this frame.
-    config.replan_fn =
-        [this, &submission,
-         &outcome](double observed) -> std::optional<exec::ReplanTarget> {
-      optimizer::PlanningOptions replanning;
-      replanning.cost_based = true;
-      replanning.observed_selectivity = observed;
-      Result<optimizer::Plan> replanned = optimizer::BuildPlan(
-          submission.program, submission.input_path, outcome.report,
-          *catalog_, replanning);
-      if (!replanned.ok()) return std::nullopt;
-      const exec::ExecutionDescriptor& d = replanned->descriptor;
-      if (d.access_path != exec::AccessPath::kBTree || d.clustered ||
-          d.base_path != outcome.plan.descriptor.data_path ||
-          !d.field_remap.empty()) {
-        return std::nullopt;
-      }
-      exec::ReplanTarget target;
-      target.tree_path = d.data_path;
-      target.intervals = d.intervals;
-      target.explanation = replanned->explanation;
-      return target;
-    };
-  }
-  MANIMAL_ASSIGN_OR_RETURN(outcome.job,
-                           RunJobInTempDir(outcome.plan.descriptor, config));
+  MANIMAL_ASSIGN_OR_RETURN(
+      outcome.job,
+      RunJobInTempDir(outcome.plan.descriptor,
+                      MakeJobConfig(submission.output_path)));
   outcome.explain = MaybeExplain(outcome.plan, outcome.job);
   return outcome;
 }

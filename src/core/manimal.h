@@ -65,18 +65,6 @@ class ManimalSystem {
     // MANIMAL_EXPLAIN_PATH.
     std::string explain_path;
 
-    // ---- adaptive replanning (docs/observability.md) ----
-    // Re-check seqscan plans mid-job: once `replan_min_splits` map
-    // splits commit, compare the selectivity they observed against
-    // the optimizer's estimate; when off by `replan_drift_ratio`x or
-    // more, re-plan with the observed value and switch the remaining
-    // splits to a cataloged locator B+Tree (output byte-identical).
-    // Open() defaults these from MANIMAL_REPLAN /
-    // MANIMAL_REPLAN_DRIFT / MANIMAL_REPLAN_SPLITS.
-    bool adaptive_replan = false;
-    double replan_drift_ratio = 4.0;
-    int replan_min_splits = 3;
-
     // ---- native codegen tier (docs/mril.md "Native kernels") ----
     // Map-side backend for optimized submissions. kAuto additionally
     // honors MANIMAL_BACKEND=vm|native|auto. RunBaseline always pins

@@ -129,14 +129,6 @@ class SeqScanPlan : public InputPlan {
     return reader_->file_size();
   }
 
-  bool SplitBlockRange(int i, uint64_t* begin,
-                       uint64_t* end) const override {
-    if (i < 0 || i >= static_cast<int>(ranges_.size())) return false;
-    *begin = ranges_[i].first;
-    *end = ranges_[i].second;
-    return true;
-  }
-
   std::vector<int> DerivedFieldRemap() const override {
     const columnar::SeqFileMeta& meta = reader_->meta();
     if (meta.original_schema.opaque()) return {};
@@ -570,27 +562,6 @@ Result<std::unique_ptr<InputPlan>> PlanInput(
     }
   }
   return Status::Internal("bad access path");
-}
-
-Result<std::vector<RecordLocator>> CollectBTreeLocators(
-    const std::string& tree_path,
-    const std::vector<analyzer::KeyInterval>& intervals,
-    uint64_t* index_bytes) {
-  MANIMAL_ASSIGN_OR_RETURN(std::shared_ptr<index::BTreeReader> tree,
-                           index::BTreeReader::Open(tree_path));
-  MANIMAL_ASSIGN_OR_RETURN(std::vector<ByteRange> ranges,
-                           EncodeIntervals(intervals));
-  return CollectLocators(*tree, ranges, index_bytes);
-}
-
-Result<std::unique_ptr<InputSplit>> OpenLocatorSplit(
-    std::shared_ptr<columnar::SeqFileReader> base,
-    std::vector<RecordLocator> locators, uint64_t charged_bytes) {
-  MANIMAL_ASSIGN_OR_RETURN(
-      columnar::SeqFileReader::BlockAccessor accessor,
-      base->OpenBlockAccessor());
-  return std::unique_ptr<InputSplit>(new BTreeRangeSplit(
-      std::move(accessor), std::move(locators), charged_bytes));
 }
 
 }  // namespace manimal::exec

@@ -78,15 +78,6 @@ struct ExecutionDescriptor {
   analyzer::ExprRef observe_expr;
   std::vector<analyzer::KeyInterval> observe_intervals;
 
-  // The optimizer's estimate of the selection predicate's matching
-  // fraction (union of observe_intervals), with the estimator that
-  // produced it ("histogram" / "btree-fanout" / "observed"). -1 when
-  // no interval-backed estimate exists. The engine's adaptive
-  // replanning gate compares this against the selectivity the first
-  // committed splits actually observe.
-  double est_predicate_selectivity = -1;
-  std::string est_provenance;
-
   // ---- native codegen tier (src/codegen, docs/mril.md) ----
   // Set by the optimizer when ExtractShape admits the (possibly
   // patched) program: the map function is a proven selection+
@@ -153,18 +144,6 @@ class InputPlan {
   // its own remap (e.g. pipeline intermediates).
   virtual std::vector<int> DerivedFieldRemap() const { return {}; }
 
-  // For plans whose split `i` covers a contiguous block range of one
-  // SeqFile, fills [*begin, *end) and returns true. Adaptive
-  // replanning uses this to substitute an equivalent B+Tree-driven
-  // split for a not-yet-started scan split.
-  virtual bool SplitBlockRange(int i, uint64_t* begin,
-                               uint64_t* end) const {
-    (void)i;
-    (void)begin;
-    (void)end;
-    return false;
-  }
-
   // The SeqFile this plan scans, when it scans exactly one (the
   // direct-evaluation path inspects its skip frames). nullptr for
   // index- and group-driven plans.
@@ -186,33 +165,6 @@ class InputPlan {
 // kBTree. `target_splits` is a parallelism hint.
 Result<std::unique_ptr<InputPlan>> PlanInput(
     const ExecutionDescriptor& descriptor, int target_splits);
-
-// ---- adaptive replanning support (engine.cc) ----
-//
-// When the engine switches a running scan to a locator B+Tree
-// mid-job, each remaining scan split (a block range of the base file)
-// is served by an equivalent B+Tree-driven split instead: the matching
-// locators restricted to that block range, visited in file order — the
-// same records, in the same order, that the scan split's map task
-// would have emitted for (the analyzer guarantees records outside the
-// intervals cannot satisfy the predicate).
-
-using RecordLocator = std::pair<uint64_t, uint32_t>;  // (block, index)
-
-// One index pass: every locator in `intervals` (canonicalized order),
-// sorted into file order. *index_bytes gets the scanned key+payload
-// bytes.
-Result<std::vector<RecordLocator>> CollectBTreeLocators(
-    const std::string& tree_path,
-    const std::vector<analyzer::KeyInterval>& intervals,
-    uint64_t* index_bytes);
-
-// Opens a split serving `locators` (sorted, restricted to one block
-// range by the caller) out of `base`. `charged_bytes` is accounted to
-// this split's bytes_read on top of the blocks it decodes.
-Result<std::unique_ptr<InputSplit>> OpenLocatorSplit(
-    std::shared_ptr<columnar::SeqFileReader> base,
-    std::vector<RecordLocator> locators, uint64_t charged_bytes);
 
 }  // namespace manimal::exec
 

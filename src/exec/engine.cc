@@ -320,12 +320,6 @@ class JobRunner {
     std::atomic<bool> speculated{false};
     // Steady-clock start of the first chain (0 = not started yet).
     std::atomic<int64_t> started_ns{0};
-    // Adaptive replanning: which input the task reads — -1 undecided,
-    // 0 the original plan's split, 1 the switched locator split.
-    // CAS'd exactly once by whichever attempt starts first, so
-    // retries and speculative twins of one task always read the same
-    // input (attempt outputs stay interchangeable).
-    std::atomic<int> plan_choice{-1};
   };
 
   // The fallible work of one attempt returns a commit closure; the
@@ -342,8 +336,6 @@ class JobRunner {
                 const AttemptFn& attempt_fn);
   Result<CommitFn> MapAttempt(int split_index, int chain, int attempt);
   Result<CommitFn> ReduceAttempt(int partition, int chain, int attempt);
-  void MaybeReplan(int committed_splits);
-  Result<std::unique_ptr<InputSplit>> OpenSwitchedSplit(int split_index);
   void SubmitMapChain(ThreadPool* pool, int split_index, int chain);
   void MonitorMapPhase(ThreadPool* pool);
   void Backoff(int attempt) const;
@@ -409,24 +401,6 @@ class JobRunner {
   std::mutex stats_mu_;
   std::vector<TaskStat> task_stats_;
   std::vector<uint64_t> predicate_matches_;
-
-  // ---- adaptive replanning (JobConfig::enable_replan) ----
-  // Armed in Prepare() when the plan is an observable seqscan with an
-  // interval-backed estimate. Committed splits feed the observed
-  // match/scan totals; the first commit at or past replan_min_splits
-  // makes the (one-shot) drift decision. On switch, the locator list
-  // and base reader below serve every split whose plan_choice is
-  // still undecided.
-  bool replan_armed_ = false;
-  std::atomic<uint64_t> observed_scanned_{0}, observed_matched_{0};
-  std::atomic<int> committed_splits_{0};
-  std::atomic<bool> replan_decided_{false};
-  std::atomic<bool> switched_{false};
-  std::mutex replan_mu_;  // guards the switch target below
-  std::shared_ptr<columnar::SeqFileReader> replan_base_;
-  std::vector<RecordLocator> replan_locators_;
-  uint64_t replan_index_bytes_ = 0;
-  ReplanStat replan_stat_;
 
   JobResult result_;
 };
@@ -579,25 +553,8 @@ Result<JobRunner::CommitFn> JobRunner::MapAttempt(int split_index,
   };
   auto state = std::make_shared<AttemptState>();
   Stopwatch attempt_watch;
-
-  // Sticky per-task plan choice: the first attempt of either chain
-  // latches whether this task reads its original split or (post-
-  // switch) the equivalent locator-driven split.
-  TaskControl& ctl = map_tasks_[split_index];
-  int choice = ctl.plan_choice.load(std::memory_order_acquire);
-  if (choice < 0) {
-    int expected = -1;
-    ctl.plan_choice.compare_exchange_strong(
-        expected, switched_.load(std::memory_order_acquire) ? 1 : 0,
-        std::memory_order_acq_rel);
-    choice = ctl.plan_choice.load(std::memory_order_acquire);
-  }
-  std::unique_ptr<InputSplit> split;
-  if (choice == 1) {
-    MANIMAL_ASSIGN_OR_RETURN(split, OpenSwitchedSplit(split_index));
-  } else {
-    MANIMAL_ASSIGN_OR_RETURN(split, plan_->OpenSplit(split_index));
-  }
+  MANIMAL_ASSIGN_OR_RETURN(std::unique_ptr<InputSplit> split,
+                           plan_->OpenSplit(split_index));
   if (has_reduce_) {
     state->mapper = shuffle_->NewMapper();
   } else {
@@ -781,105 +738,8 @@ Result<JobRunner::CommitFn> JobRunner::MapAttempt(int split_index,
       stat.seconds = state->seconds;
       RecordTaskStat(stat, state->interval_matches);
     }
-    if (replan_armed_) {
-      uint64_t matched = 0;
-      // Canonicalized intervals are disjoint, so summing per-interval
-      // matches counts each matching record exactly once.
-      for (uint64_t m : state->interval_matches) matched += m;
-      observed_matched_.fetch_add(matched, std::memory_order_relaxed);
-      observed_scanned_.fetch_add(state->records,
-                                  std::memory_order_relaxed);
-      MaybeReplan(
-          committed_splits_.fetch_add(1, std::memory_order_acq_rel) + 1);
-    }
     return Status::OK();
   });
-}
-
-void JobRunner::MaybeReplan(int committed_splits) {
-  if (committed_splits < std::max(1, cfg_.replan_min_splits)) return;
-  if (replan_decided_.exchange(true, std::memory_order_acq_rel)) return;
-  const double scanned =
-      static_cast<double>(observed_scanned_.load(std::memory_order_relaxed));
-  if (scanned <= 0) return;
-  const double observed =
-      static_cast<double>(observed_matched_.load(std::memory_order_relaxed)) /
-      scanned;
-  const double estimated = descriptor_.est_predicate_selectivity;
-  // Symmetric drift ratio; the epsilon keeps an observed (or
-  // estimated) zero from dividing out to infinity-vs-anything.
-  const double eps = 1e-6;
-  const double ratio = std::max((observed + eps) / (estimated + eps),
-                                (estimated + eps) / (observed + eps));
-  if (ratio < cfg_.replan_drift_ratio) return;
-  std::optional<ReplanTarget> target = cfg_.replan_fn(observed);
-  if (!target.has_value()) return;
-  // Resolve the switch machinery once: the base reader plus the full
-  // file-ordered locator list; each late split reads its block-range
-  // subrange. Any failure here just abandons the switch — the
-  // original plan is always still valid.
-  Result<std::shared_ptr<columnar::SeqFileReader>> base =
-      columnar::SeqFileReader::Open(descriptor_.data_path);
-  if (!base.ok()) return;
-  uint64_t index_bytes = 0;
-  Result<std::vector<RecordLocator>> locators = CollectBTreeLocators(
-      target->tree_path, target->intervals, &index_bytes);
-  if (!locators.ok()) return;
-  {
-    std::lock_guard<std::mutex> lock(replan_mu_);
-    replan_base_ = *std::move(base);
-    replan_locators_ = *std::move(locators);
-    replan_index_bytes_ = index_bytes;
-    replan_stat_.switched = true;
-    replan_stat_.after_splits = committed_splits;
-    replan_stat_.estimated = estimated;
-    replan_stat_.observed = observed;
-    replan_stat_.drift_ratio = ratio;
-    replan_stat_.to = target->tree_path;
-  }
-  switched_.store(true, std::memory_order_release);
-  obs::MetricsRegistry::Get().GetCounter("engine.plan_switches")
-      ->Increment();
-  obs::TraceInstant("engine.plan_switched", "exec",
-                    {{"job", cfg_.job_id},
-                     {"after_splits", std::to_string(committed_splits)},
-                     {"estimated", StrPrintf("%.4f", estimated)},
-                     {"observed", StrPrintf("%.4f", observed)},
-                     {"drift_ratio", StrPrintf("%.1f", ratio)},
-                     {"to", target->tree_path}});
-  obs::Journal::Get()
-      .Event("plan_switched")
-      .Str("job", cfg_.job_id)
-      .Int("after_splits", committed_splits)
-      .Num("estimated", estimated)
-      .Num("observed", observed)
-      .Num("drift_ratio", ratio)
-      .Str("from", descriptor_.data_path)
-      .Str("to", target->tree_path)
-      .Emit();
-}
-
-Result<std::unique_ptr<InputSplit>> JobRunner::OpenSwitchedSplit(
-    int split_index) {
-  uint64_t begin = 0, end = 0;
-  if (!plan_->SplitBlockRange(split_index, &begin, &end)) {
-    return Status::Internal(StrPrintf(
-        "switched split %d has no block range", split_index));
-  }
-  std::lock_guard<std::mutex> lock(replan_mu_);
-  // Locators are (block, index) sorted ascending, so the split's share
-  // is one contiguous subrange.
-  auto lo = std::lower_bound(replan_locators_.begin(),
-                             replan_locators_.end(),
-                             RecordLocator{begin, 0});
-  auto hi = std::lower_bound(replan_locators_.begin(),
-                             replan_locators_.end(), RecordLocator{end, 0});
-  std::vector<RecordLocator> subset(lo, hi);
-  const uint64_t charged =
-      replan_locators_.empty()
-          ? 0
-          : replan_index_bytes_ * subset.size() / replan_locators_.size();
-  return OpenLocatorSplit(replan_base_, std::move(subset), charged);
 }
 
 Result<JobRunner::CommitFn> JobRunner::ReduceAttempt(int partition,
@@ -1192,22 +1052,10 @@ Status JobRunner::Prepare() {
   // against the runtime field layout).
   MANIMAL_RETURN_IF_ERROR(ResolveBackend());
 
-  // Adaptive replanning only arms on an observable plain scan whose
-  // descriptor carries an interval-backed selectivity estimate: the
-  // drift gate needs ground-truth observation, and the locator
-  // substitution needs the scan's own block ranges.
-  replan_armed_ = cfg_.enable_replan && cfg_.replan_fn != nullptr &&
-                  descriptor_.access_path == AccessPath::kSeqScan &&
-                  descriptor_.est_predicate_selectivity > 0 &&
-                  descriptor_.observe_expr != nullptr &&
-                  !descriptor_.observe_intervals.empty() &&
-                  field_remap_.empty();
-
   // EXPLAIN ANALYZE observation is only sound on the original record
   // layout: EvalExpr addresses original field indexes, which a
-  // projected/remapped artifact no longer stores at those slots. The
-  // replanning gate rides the same per-record evaluation.
-  observe_ = (cfg_.collect_task_stats || replan_armed_) &&
+  // projected/remapped artifact no longer stores at those slots.
+  observe_ = cfg_.collect_task_stats &&
              descriptor_.observe_expr != nullptr &&
              !descriptor_.observe_intervals.empty() &&
              field_remap_.empty();
@@ -1218,9 +1066,9 @@ Status JobRunner::Prepare() {
   // Direct evaluation on compressed blocks: prove from the skip
   // frames which blocks cannot contain a matching row, and elide them
   // from every scan split. Gated off while observation is armed —
-  // per-record observation (EXPLAIN ANALYZE selectivity, the replan
-  // drift gate) must see every scanned record, and a skipped block's
-  // rows would silently vanish from the tally.
+  // EXPLAIN ANALYZE's per-record observation must see every scanned
+  // record, and a skipped block's rows would silently vanish from the
+  // tally.
   bool direct = cfg_.direct_eval;
   if (const char* env = std::getenv("MANIMAL_DIRECT_EVAL")) {
     std::string_view v(env);
@@ -1369,10 +1217,6 @@ Result<JobResult> JobRunner::Run() {
                              result_.simulated_io_seconds;
 
   result_.job_id = cfg_.job_id;
-  {
-    std::lock_guard<std::mutex> lock(replan_mu_);
-    result_.replan = replan_stat_;
-  }
   if (cfg_.collect_task_stats) {
     std::lock_guard<std::mutex> lock(stats_mu_);
     result_.task_stats = std::move(task_stats_);

@@ -12,7 +12,6 @@
 #define MANIMAL_EXEC_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -23,20 +22,6 @@
 #include "serde/schema.h"
 
 namespace manimal::exec {
-
-// A compatible locator-B+Tree alternative for a running seqscan job,
-// produced by re-planning against observed selectivity. The caller
-// (core) installs the callback so the fabric never depends on the
-// optimizer; the target must be a non-clustered tree whose locators
-// point into the very file the scan is reading.
-struct ReplanTarget {
-  std::string tree_path;
-  // Canonicalized (disjoint, sorted) predicate intervals to read.
-  std::vector<analyzer::KeyInterval> intervals;
-  std::string explanation;
-};
-using ReplanFn =
-    std::function<std::optional<ReplanTarget>(double observed_selectivity)>;
 
 // Which execution tier runs the map function (docs/mril.md "Native
 // kernels"). kAuto compiles a native kernel when the analyzer facts
@@ -97,8 +82,9 @@ struct JobConfig {
   // (StatusCode::kIOError, including injected faults) retry with
   // exponential backoff, everything else fails the job immediately.
   int max_task_attempts = 4;
-  // Base backoff between attempts: base * 2^(attempt-1), capped at
-  // 100 ms. Zero disables sleeping (tests).
+  // Base backoff before attempt n >= 2: base * 2^(n-2), capped at
+  // 100 ms, so the first retry sleeps `base`. Zero disables sleeping
+  // (tests).
   double retry_backoff_ms = 1.0;
   // Speculative re-execution of straggler map tasks: once at least
   // half the map tasks finished, any still-running task whose elapsed
@@ -128,21 +114,6 @@ struct JobConfig {
   // per-record work on the map path, so it is off by default and only
   // enabled by explain/analysis callers.
   bool collect_task_stats = false;
-
-  // ---- adaptive replanning (docs/observability.md) ----
-  // After `replan_min_splits` map splits commit, compare the plan's
-  // estimated predicate selectivity (descriptor
-  // est_predicate_selectivity) against what those splits observed;
-  // when off by `replan_drift_ratio`x or more in either direction,
-  // call `replan_fn(observed)` and — if it returns a target — serve
-  // every not-yet-started scan split from the tree's locators
-  // restricted to that split's block range instead. Only arms on
-  // kSeqScan plans with observation hooks and an unremapped layout;
-  // the switch is output-byte-identical to not switching.
-  bool enable_replan = false;
-  double replan_drift_ratio = 4.0;
-  int replan_min_splits = 3;
-  ReplanFn replan_fn;
 
   // ---- direct evaluation on compressed blocks ----
   // When the input is a v2 seqfile with skip frames and the map's emit
@@ -233,18 +204,6 @@ struct PredicateStat {
   uint64_t matched = 0;
 };
 
-// Outcome of the adaptive replanning gate (JobConfig::enable_replan).
-// Mirrored by the "plan_switched" journal event and the EXPLAIN
-// ANALYZE replan section.
-struct ReplanStat {
-  bool switched = false;
-  int after_splits = 0;   // committed splits behind the decision
-  double estimated = -1;  // plan-time selectivity estimate
-  double observed = -1;   // selectivity those splits measured
-  double drift_ratio = 0; // max(obs/est, est/obs) at decision time
-  std::string to;         // tree now serving the remaining splits
-};
-
 struct JobResult {
   // Copied from JobConfig::job_id (after auto-assignment); the same
   // id appears on this job's journal events and trace spans.
@@ -274,9 +233,6 @@ struct JobResult {
   // True when observe_expr was evaluated over the scanned records
   // (stats requested, hooks present, layout unremapped).
   bool predicates_observed = false;
-  // Adaptive replanning outcome; replan.switched == false when the
-  // gate never fired (or was never armed).
-  ReplanStat replan;
 
   // Resolved map backend ("vm" / "native") and why — the kernel
   // description, or the admission-gate reason behind a vm fallback.

@@ -1,8 +1,6 @@
 #include "exec/index_build.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "analyzer/expr_eval.h"
 #include "columnar/codec/selector.h"
@@ -32,15 +30,6 @@ uint64_t Fnv1a(std::string_view s) {
     h *= 0x100000001B3ULL;
   }
   return h;
-}
-
-// Stats collection rides along with every build scan unless
-// MANIMAL_STATS=0|off|false opts out.
-bool StatsCollectionEnabled() {
-  const char* v = std::getenv("MANIMAL_STATS");
-  if (v == nullptr || v[0] == '\0') return true;
-  return std::strcmp(v, "0") != 0 && std::strcmp(v, "off") != 0 &&
-         std::strcmp(v, "false") != 0;
 }
 
 // Cap on how many leading record fields get per-field statistics.
@@ -132,9 +121,8 @@ Result<IndexBuildResult> BuildIndexArtifact(
   // points at it; the cost model estimates predicate selectivity from
   // these instead of the root-fanout heuristic.
   stats::TableStatsCollector stats_collector;
-  const bool collect_stats = StatsCollectionEnabled();
   std::vector<stats::ColumnStatsCollector*> field_stats;
-  if (collect_stats && !input_schema.opaque()) {
+  if (!input_schema.opaque()) {
     const int nfields = std::min(input_schema.num_fields(), kMaxStatsFields);
     field_stats.reserve(nfields);
     for (int i = 0; i < nfields; ++i) {
@@ -143,12 +131,10 @@ Result<IndexBuildResult> BuildIndexArtifact(
     }
   }
   stats::ColumnStatsCollector* key_stats =
-      collect_stats && spec.btree
-          ? stats_collector.Column("expr:" + spec.key_expr->ToString())
-          : nullptr;
+      spec.btree ? stats_collector.Column("expr:" + spec.key_expr->ToString())
+                 : nullptr;
   std::string field_key_bytes;
   auto observe_record = [&](const Record& record) {
-    if (!collect_stats) return;
     stats_collector.CountRow();
     for (size_t i = 0; i < field_stats.size() && i < record.size(); ++i) {
       field_key_bytes.clear();
@@ -158,7 +144,7 @@ Result<IndexBuildResult> BuildIndexArtifact(
     }
   };
   auto finish_stats = [&]() -> Status {
-    if (!collect_stats || result.records == 0) return Status::OK();
+    if (result.records == 0) return Status::OK();
     const std::string stats_path = artifact_dir + "/stats-" + tag + ".json";
     MANIMAL_RETURN_IF_ERROR(
         stats_collector.Finish().SaveTo(stats_path + ".inprogress"));

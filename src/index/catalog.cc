@@ -96,7 +96,11 @@ Status Catalog::Save() const {
     out += std::to_string(e.raw_bytes);
     out += '\n';
   }
-  return WriteStringToFile(path_, out);
+  // Commit by rename, so a torn write never replaces the previous
+  // manifest.
+  const std::string temp_path = path_ + ".inprogress";
+  MANIMAL_RETURN_IF_ERROR(WriteStringToFile(temp_path, out));
+  return RenameFile(temp_path, path_);
 }
 
 }  // namespace manimal::index

@@ -53,7 +53,9 @@ class Catalog {
   static Result<Catalog> Open(const std::string& path);
 
   // Registers (or replaces, matching input_file+signature) an entry
-  // and persists the manifest.
+  // and persists the manifest. The manifest is written to a temp
+  // sibling and renamed into place, so a failed or torn write leaves
+  // the previous manifest readable.
   Status Register(const CatalogEntry& entry);
 
   // All artifacts available for an input file.

@@ -128,32 +128,19 @@ Result<double> EstimateSelectivity(
   return std::min(1.0, total);
 }
 
-namespace {
-
-// The stats column matching the report's indexed key expression:
-// "expr:<expr>" as collected by B+Tree builds, falling back to the
-// per-field column when the expression is a plain field of the map
-// value parameter (param 1).
-const stats::ColumnStats* StatsColumnFor(
-    const CostContext& context, const analyzer::AnalysisReport& report) {
-  if (context.stats == nullptr || !report.selection.has_value()) {
-    return nullptr;
-  }
-  const analysis::ExprRef& expr = report.selection->indexed_expr;
-  if (expr == nullptr) return nullptr;
-  const stats::ColumnStats* column =
-      context.stats->Find("expr:" + expr->ToString());
+const stats::ColumnStats* FindKeyColumn(const stats::TableStats* stats,
+                                        const analysis::ExprRef& expr) {
+  if (stats == nullptr || expr == nullptr) return nullptr;
+  const stats::ColumnStats* column = stats->Find("expr:" + expr->ToString());
   if (column == nullptr && expr->kind == analysis::Expr::Kind::kField &&
       expr->index >= 0 && !expr->args.empty() &&
       expr->args[0] != nullptr &&
       expr->args[0]->kind == analysis::Expr::Kind::kParam &&
       expr->args[0]->index == 1) {
-    column = context.stats->Find("field:" + std::to_string(expr->index));
+    column = stats->Find("field:" + std::to_string(expr->index));
   }
   return column;
 }
-
-}  // namespace
 
 CandidateCost BaselineCost(uint64_t input_bytes) {
   CandidateCost cost;
@@ -167,9 +154,12 @@ Result<CandidateCost> EstimateArtifactCost(
     const analyzer::IndexGenProgram& spec,
     const index::CatalogEntry& entry,
     const analyzer::AnalysisReport& report,
-    const CostContext& context) {
+    const stats::TableStats* stats) {
   CandidateCost cost;
-  const stats::ColumnStats* column = StatsColumnFor(context, report);
+  const stats::ColumnStats* column =
+      report.selection.has_value()
+          ? FindKeyColumn(stats, report.selection->indexed_expr)
+          : nullptr;
   const std::vector<analyzer::KeyInterval> no_intervals;
   const std::vector<analyzer::KeyInterval>& intervals =
       report.selection.has_value() ? report.selection->intervals
@@ -208,12 +198,6 @@ Result<CandidateCost> EstimateArtifactCost(
         EstimateSelectivity(tree.get(), column, intervals,
                             &cost.interval_selectivity,
                             &cost.provenance));
-    if (context.observed_selectivity.has_value()) {
-      // Mid-job feedback outranks any model: the first committed
-      // splits measured the real matching fraction.
-      selectivity = std::clamp(*context.observed_selectivity, 0.0, 1.0);
-      cost.provenance = "observed";
-    }
     cost.selectivity = selectivity;
     if (spec.clustered) {
       // Embedded records: bytes scale with selectivity.

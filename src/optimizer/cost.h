@@ -7,15 +7,13 @@
 // quantity the whole evaluation shows performance tracks. Predicate
 // selectivity comes from, in order of preference:
 //
-//   1. "observed"      — actual selectivity reported by the running
-//                        job's first committed splits (mid-job
-//                        replanning feedback);
-//   2. "histogram"     — the per-column equi-depth histograms and
+//   1. "histogram"     — the per-column equi-depth histograms and
 //                        distinct-count sketches collected at
 //                        index-build time (src/stats/);
-//   3. "btree-fanout"  — the B+Tree's own root fan-out, an implicit
+//   2. "btree-fanout"  — the B+Tree's own root fan-out, an implicit
 //                        equi-depth histogram of the key distribution
-//                        needing no statistics infrastructure.
+//                        needing no statistics infrastructure (catalogs
+//                        written before stats existed, empty inputs).
 //
 // The chosen source is recorded as the estimate's provenance and
 // surfaces in EXPLAIN.
@@ -23,7 +21,6 @@
 #ifndef MANIMAL_OPTIMIZER_COST_H_
 #define MANIMAL_OPTIMIZER_COST_H_
 
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,8 +39,8 @@ struct CandidateCost {
   // Estimated matching fraction (1.0 for full scans).
   double selectivity = 1.0;
   // Which estimator produced `selectivity`: "histogram",
-  // "btree-fanout", "observed", or "" when no selectivity estimate
-  // applies (plain full scans).
+  // "btree-fanout", or "" when no selectivity estimate applies (plain
+  // full scans).
   std::string provenance;
   std::string detail;  // human-readable breakdown
   // Per-interval breakdown of `selectivity`: (KeyInterval::ToString(),
@@ -73,28 +70,21 @@ Result<double> EstimateSelectivity(
     std::vector<std::pair<std::string, double>>* per_interval,
     std::string* provenance);
 
-// Optional inputs that sharpen the estimates.
-struct CostContext {
-  // Column statistics for the candidate's input file (nullable).
-  const stats::TableStats* stats = nullptr;
-  // Ground-truth selectivity observed by a running job's first
-  // committed splits; set when replanning mid-job.
-  std::optional<double> observed_selectivity;
-};
+// The stats column describing index key `expr`: "expr:<expr>" as
+// collected by B+Tree builds, falling back to the per-field column
+// when the expression is a plain field of the map value parameter.
+// nullptr when `stats` or `expr` is null or no column matches.
+const stats::ColumnStats* FindKeyColumn(const stats::TableStats* stats,
+                                        const analysis::ExprRef& expr);
 
 // Cost of a cataloged artifact for this program/report. Opens the
-// artifact's metadata (footers/manifests only — O(1) I/O).
+// artifact's metadata (footers/manifests only — O(1) I/O). `stats`
+// holds the input file's column statistics (nullable).
 Result<CandidateCost> EstimateArtifactCost(
     const analyzer::IndexGenProgram& spec,
     const index::CatalogEntry& entry,
     const analyzer::AnalysisReport& report,
-    const CostContext& context);
-inline Result<CandidateCost> EstimateArtifactCost(
-    const analyzer::IndexGenProgram& spec,
-    const index::CatalogEntry& entry,
-    const analyzer::AnalysisReport& report) {
-  return EstimateArtifactCost(spec, entry, report, CostContext());
-}
+    const stats::TableStats* stats);
 
 // Cost of the conventional full scan.
 CandidateCost BaselineCost(uint64_t input_bytes);

@@ -152,7 +152,6 @@ ExplainReport MakeExplainReport(const Plan& plan,
   }
   report.predicates_observed = result.predicates_observed;
   report.drift = BuildDrift(report.plan, result);
-  report.replan = result.replan;
   for (const auto& [name, stat] : result.phase_breakdown) {
     report.phases.emplace_back(name, stat);
   }
@@ -284,14 +283,6 @@ std::string ExplainReport::ToText() const {
           static_cast<unsigned long long>(t.bytes_written),
           static_cast<unsigned long long>(t.vm_instructions), t.seconds);
     }
-  }
-  if (replan.switched) {
-    out += StrPrintf(
-        "  replan: switched to %s after %d splits (est=%s obs=%s "
-        "drift=%.1fx)\n",
-        replan.to.c_str(), replan.after_splits,
-        FmtSel(replan.estimated).c_str(),
-        FmtSel(replan.observed).c_str(), replan.drift_ratio);
   }
   if (!drift.empty()) {
     out += "  drift (estimated vs observed selectivity";
@@ -459,16 +450,6 @@ std::string ExplainReport::ToJson() const {
       out += "}";
     }
     out += "]";
-    if (replan.switched) {
-      out += ",\"replan\":{\"switched\":true";
-      out += ",\"after_splits\":" + std::to_string(replan.after_splits);
-      AppendOptionalNum(&out, "estimated", replan.estimated,
-                        /*fixed4=*/true);
-      AppendOptionalNum(&out, "observed", replan.observed,
-                        /*fixed4=*/true);
-      out += ",\"drift_ratio\":" + JsonNumber(replan.drift_ratio);
-      out += ",\"to\":" + JsonQuote(replan.to) + "}";
-    }
   }
   out += "}";
   return out;

@@ -61,8 +61,8 @@ struct CandidateExplain {
   double est_bytes = -1;
   double est_selectivity = -1;
   // Which estimator produced est_selectivity: "histogram" (catalog
-  // column stats), "btree-fanout" (root fan-out heuristic), or
-  // "observed" (mid-job feedback). "" when nothing was priced.
+  // column stats) or "btree-fanout" (root fan-out heuristic). "" when
+  // nothing was priced.
   std::string provenance;
   std::string cost_detail;
   // Per-interval estimated selectivity for B+Tree candidates:
@@ -85,8 +85,8 @@ struct PlanExplain {
   // baseline with nothing priced).
   double est_selectivity = -1;
   double est_bytes = -1;
-  // Estimator behind est_selectivity ("histogram" / "btree-fanout" /
-  // "observed"); "" when unknown.
+  // Estimator behind est_selectivity ("histogram" / "btree-fanout");
+  // "" when unknown.
   std::string est_provenance;
   // Size of the raw input = cost of the conventional full scan.
   double baseline_bytes = -1;
@@ -130,9 +130,6 @@ struct ExplainReport {
   // seqscan plan observes ground truth.
   bool predicates_observed = false;
   std::vector<DriftRow> drift;
-  // Adaptive replanning outcome (replan.switched == false when the
-  // run never switched plans).
-  exec::ReplanStat replan;
   std::vector<std::pair<std::string, exec::PhaseStat>> phases;
   std::vector<exec::TaskStat> tasks;
   exec::JobCounters counters;

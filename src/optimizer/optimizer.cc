@@ -228,17 +228,7 @@ void AttachNativeEligibility(Plan* plan, PlanExplain* ex,
                                            &intervals)) {
             continue;
           }
-          const stats::ColumnStats* column =
-              stats->Find("expr:" + indexed->ToString());
-          if (column == nullptr &&
-              indexed->kind == analysis::Expr::Kind::kField &&
-              indexed->index >= 0 && !indexed->args.empty() &&
-              indexed->args[0] != nullptr &&
-              indexed->args[0]->kind == analysis::Expr::Kind::kParam &&
-              indexed->args[0]->index == 1) {
-            column =
-                stats->Find("field:" + std::to_string(indexed->index));
-          }
+          const stats::ColumnStats* column = FindKeyColumn(stats, indexed);
           if (column == nullptr) continue;
           std::vector<std::pair<std::string, double>> per_interval;
           std::string provenance;
@@ -269,37 +259,13 @@ Plan FinalizePlan(Plan plan, PlanExplain ex,
   ex.optimized = plan.optimized;
   // Observation hooks ride on EVERY plan with an indexable selection
   // (including the plain scan, whose descriptor.intervals stay empty):
-  // the fabric only uses them under collect_task_stats or when
-  // adaptive replanning is armed. Canonicalized so the observed
-  // per-interval keys join against the canonicalized estimates.
+  // the fabric only uses them under collect_task_stats. Canonicalized
+  // so the observed per-interval keys join against the canonicalized
+  // estimates.
   if (report.selection.has_value() && report.selection->indexable()) {
     plan.descriptor.observe_expr = report.selection->indexed_expr;
     plan.descriptor.observe_intervals =
         CanonicalizeIntervals(report.selection->intervals);
-  }
-  // The replanning gate needs the plan's own estimate of the PREDICATE
-  // selectivity (not the bytes fraction): prefer the chosen
-  // candidate's interval-backed estimate, else the first priced one —
-  // the same preference order the drift report uses.
-  const CandidateExplain* estimate = nullptr;
-  for (const CandidateExplain& ce : ex.candidates) {
-    if (ce.chosen && !ce.interval_selectivity.empty()) {
-      estimate = &ce;
-      break;
-    }
-  }
-  if (estimate == nullptr) {
-    for (const CandidateExplain& ce : ex.candidates) {
-      if (ce.cataloged && ce.est_selectivity >= 0 &&
-          !ce.interval_selectivity.empty()) {
-        estimate = &ce;
-        break;
-      }
-    }
-  }
-  if (estimate != nullptr) {
-    plan.descriptor.est_predicate_selectivity = estimate->est_selectivity;
-    plan.descriptor.est_provenance = estimate->provenance;
   }
   AttachNativeEligibility(&plan, &ex, stats);
   obs::Journal::Get()
@@ -363,15 +329,14 @@ Result<Plan> BuildPlan(const mril::Program& program,
   // Missing or unreadable stats just fall back to the tree-fanout
   // heuristic.
   stats::TableStats table_stats;
-  CostContext cost_context;
-  cost_context.observed_selectivity = options.observed_selectivity;
+  const stats::TableStats* stats = nullptr;
   for (const index::CatalogEntry& e : catalog.FindForInput(input_path)) {
     if (e.stats_path.empty()) continue;
     Result<stats::TableStats> loaded =
         stats::TableStats::Load(e.stats_path);
     if (loaded.ok()) {
       table_stats = std::move(loaded).value();
-      cost_context.stats = &table_stats;
+      stats = &table_stats;
       break;
     }
   }
@@ -392,7 +357,7 @@ Result<Plan> BuildPlan(const mril::Program& program,
     ce.artifact_path = entry->artifact_path;
     Avail avail{i, std::move(*entry), std::nullopt};
     Result<CandidateCost> cost_or = EstimateArtifactCost(
-        candidates[i], avail.entry, report, cost_context);
+        candidates[i], avail.entry, report, stats);
     if (cost_or.ok()) {
       avail.cost = *cost_or;
       ce.est_bytes = cost_or->bytes;
@@ -444,8 +409,7 @@ Result<Plan> BuildPlan(const mril::Program& program,
         ex.est_selectivity = head.cost->selectivity;
         ex.est_provenance = head.cost->provenance;
       }
-      return FinalizePlan(std::move(plan), std::move(ex), report,
-                          cost_context.stats);
+      return FinalizePlan(std::move(plan), std::move(ex), report, stats);
     }
   } else {
     // Price everything, including the plain scan.
@@ -499,8 +463,7 @@ Result<Plan> BuildPlan(const mril::Program& program,
       ex.est_bytes = best.bytes;
       ex.est_selectivity = best.selectivity;
       ex.est_provenance = best.provenance;
-      return FinalizePlan(std::move(plan), std::move(ex), report,
-                          cost_context.stats);
+      return FinalizePlan(std::move(plan), std::move(ex), report, stats);
     }
     if (!available.empty()) {
       // Artifacts exist but none beats the scan.
@@ -513,8 +476,7 @@ Result<Plan> BuildPlan(const mril::Program& program,
       AttachReduceFilter(report, &plan);
       ex.est_bytes = static_cast<double>(input_bytes);
       ex.est_selectivity = 1.0;
-      return FinalizePlan(std::move(plan), std::move(ex), report,
-                          cost_context.stats);
+      return FinalizePlan(std::move(plan), std::move(ex), report, stats);
     }
   }
 
@@ -529,8 +491,7 @@ Result<Plan> BuildPlan(const mril::Program& program,
   if (plan.optimized) {
     plan.explanation += "; pre-shuffle reduce-key filtering in effect";
   }
-  return FinalizePlan(std::move(plan), std::move(ex), report,
-                      cost_context.stats);
+  return FinalizePlan(std::move(plan), std::move(ex), report, stats);
 }
 
 }  // namespace manimal::optimizer

@@ -50,12 +50,6 @@ struct PlanningOptions {
   // When true, price every cataloged candidate (and the baseline scan)
   // in estimated bytes moved and pick the cheapest.
   bool cost_based = false;
-  // Ground-truth predicate selectivity observed by a running job's
-  // first committed splits. Set when re-entering BuildPlan for
-  // adaptive mid-job replanning: it overrides every model estimate
-  // (provenance "observed") so the cost comparison re-runs against
-  // reality.
-  std::optional<double> observed_selectivity;
 };
 
 // Chooses the best available plan given the analysis and catalog.

@@ -34,6 +34,17 @@ std::string Key(int64_t v) {
   return out;
 }
 
+// The one cataloged candidate in `plan`'s EXPLAIN payload.
+const CandidateExplain* CatalogedCandidate(const Plan& plan) {
+  const CandidateExplain* found = nullptr;
+  for (const CandidateExplain& ce : plan.explain.candidates) {
+    if (!ce.cataloged) continue;
+    EXPECT_EQ(found, nullptr) << "more than one cataloged candidate";
+    found = &ce;
+  }
+  return found;
+}
+
 TEST(CostTest, RangeFractionFromFanout) {
   TempDir dir("cost-frac");
   std::string path = dir.file("t.idx");
@@ -444,24 +455,26 @@ TEST_F(CostPlanningTest, StatsRideTheCatalogIntoThePlan) {
   EXPECT_EQ(table.row_count, 8000u);
 
   // rank > 200 over uniform [0,1000): ~80%, estimated from the
-  // histogram and recorded as the plan's provenance.
+  // histogram and recorded as the cataloged candidate's provenance.
   core::ManimalSystem::Submission job;
   job.program = program;
   job.input_path = dir_.file("pages.msq");
   job.output_path = dir_.file("prov.prs");
   ASSERT_OK_AND_ASSIGN(auto outcome, system->Submit(job));
-  EXPECT_EQ(outcome.plan.descriptor.est_provenance, "histogram");
-  EXPECT_NEAR(outcome.plan.descriptor.est_predicate_selectivity, 0.8, 0.05);
+  const CandidateExplain* tree = CatalogedCandidate(outcome.plan);
+  ASSERT_NE(tree, nullptr);
+  EXPECT_EQ(tree->provenance, "histogram");
+  EXPECT_NEAR(tree->est_selectivity, 0.8, 0.05);
 }
 
-// ---- adaptive mid-job replanning ----
+// ---- tail-skewed input ----
 
-// Input where the optimizer's (correct-on-average) histogram estimate
-// is wildly wrong for the splits that run first: rank == record
-// ordinal, so every record matching `rank > kThreshold` sits in the
-// file's tail. Early splits observe selectivity 0 while the histogram
-// predicts ~10% — drift that must trigger a mid-job plan switch.
-class ReplanTest : public ::testing::Test {
+// Input where a histogram estimate that is right on average is wrong
+// for every prefix of the file: rank == record ordinal, so every record
+// matching `rank > kThreshold` sits in the file's tail. Cost-based
+// planning keeps the scan at the ~10% estimate; a rule-based run reads
+// the locator tree, whose file-ordered locators touch only the tail.
+class TailSkewTest : public ::testing::Test {
  protected:
   static constexpr int64_t kNumRecords = 6000;
   static constexpr int64_t kThreshold = 5400;
@@ -483,16 +496,11 @@ class ReplanTest : public ::testing::Test {
   std::string input() const { return dir_.file("skewed.msq"); }
 
   std::unique_ptr<core::ManimalSystem> OpenSystem(const std::string& ws,
-                                                  bool cost_based,
-                                                  bool adaptive) {
+                                                  bool cost_based) {
     core::ManimalSystem::Options options;
     options.workspace_dir = dir_.file(ws);
     options.simulated_startup_seconds = 0;
     options.cost_based_optimizer = cost_based;
-    options.adaptive_replan = adaptive;
-    options.replan_min_splits = 1;
-    // One map slot: the three splits commit in file order, so the
-    // decision point is deterministic.
     options.map_parallelism = 1;
     options.num_partitions = 1;
     options.enable_speculation = false;
@@ -515,85 +523,69 @@ class ReplanTest : public ::testing::Test {
     ASSERT_OK(system->BuildIndex(*locator, input()).status());
   }
 
-  TempDir dir_{"replan"};
+  TempDir dir_{"tail-skew"};
 };
 
-TEST_F(ReplanTest, SwitchesMidJobAndStaysByteIdentical) {
+TEST_F(TailSkewTest, LocatorTreeMatchesBaseline) {
   mril::Program program = workloads::SelectionCountQuery(kThreshold);
-
-  auto adaptive = OpenSystem("ws-adaptive", true, true);
-  BuildLocator(adaptive.get(), program);
   core::ManimalSystem::Submission job;
   job.program = program;
   job.input_path = input();
-  job.output_path = dir_.file("adaptive.prs");
-  ASSERT_OK_AND_ASSIGN(auto outcome, adaptive->Submit(job));
 
-  // Static cost-based planning keeps the scan: at the histogram's ~10%
-  // estimate a locator tree would touch nearly every base block anyway.
-  EXPECT_EQ(outcome.plan.descriptor.access_path, exec::AccessPath::kSeqScan);
-  EXPECT_EQ(outcome.plan.descriptor.est_provenance, "histogram");
-  EXPECT_NEAR(outcome.plan.descriptor.est_predicate_selectivity, 0.1, 0.05);
+  // Cost-based planning keeps the scan: at the histogram's ~10%
+  // estimate a locator tree would touch nearly every base block.
+  auto cost = OpenSystem("ws-cost", true);
+  BuildLocator(cost.get(), program);
+  job.output_path = dir_.file("cost.prs");
+  ASSERT_OK_AND_ASSIGN(auto scanned, cost->Submit(job));
+  EXPECT_EQ(scanned.plan.descriptor.access_path, exec::AccessPath::kSeqScan);
+  const CandidateExplain* tree = CatalogedCandidate(scanned.plan);
+  ASSERT_NE(tree, nullptr);
+  EXPECT_EQ(tree->provenance, "histogram");
+  EXPECT_NEAR(tree->est_selectivity, 0.1, 0.05);
 
-  // The first committed split saw zero matches — drift far beyond 4x —
-  // and the remaining splits switched to the locator tree.
-  const exec::ReplanStat& replan = outcome.job.replan;
-  EXPECT_TRUE(replan.switched);
-  EXPECT_GE(replan.after_splits, 1);
-  EXPECT_GE(replan.drift_ratio, 4.0);
-  EXPECT_LT(replan.observed, replan.estimated);
-  EXPECT_FALSE(replan.to.empty());
-
-  // Differential: the switched job, the never-switched baseline scan,
-  // and a rule-based run forced onto the tree for the WHOLE job must
-  // produce byte-identical canonical output.
   job.output_path = dir_.file("baseline.prs");
-  ASSERT_OK_AND_ASSIGN(auto baseline, adaptive->RunBaseline(job));
+  ASSERT_OK_AND_ASSIGN(auto baseline, cost->RunBaseline(job));
 
-  auto rule = OpenSystem("ws-rule", false, false);
+  // Rule-based planning reads the locator tree for the whole job.
+  auto rule = OpenSystem("ws-rule", false);
   BuildLocator(rule.get(), program);
   job.output_path = dir_.file("rule.prs");
-  ASSERT_OK_AND_ASSIGN(auto forced, rule->Submit(job));
-  EXPECT_NE(forced.plan.explanation.find("btree"), std::string::npos);
+  ASSERT_OK_AND_ASSIGN(auto indexed, rule->Submit(job));
+  EXPECT_EQ(indexed.plan.descriptor.access_path, exec::AccessPath::kBTree);
+  EXPECT_FALSE(indexed.plan.descriptor.clustered);
 
   ASSERT_OK_AND_ASSIGN(auto a,
-                       exec::ReadCanonicalPairs(dir_.file("adaptive.prs")));
+                       exec::ReadCanonicalPairs(dir_.file("rule.prs")));
   ASSERT_OK_AND_ASSIGN(auto b,
                        exec::ReadCanonicalPairs(dir_.file("baseline.prs")));
-  ASSERT_OK_AND_ASSIGN(auto c,
-                       exec::ReadCanonicalPairs(dir_.file("rule.prs")));
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);
-  EXPECT_EQ(a, c);
 
-  // The switch paid off: splits served from locators touch only the
-  // matching tail instead of rescanning their whole block ranges.
-  EXPECT_LT(outcome.job.counters.input_bytes,
-            baseline.counters.input_bytes);
-  EXPECT_LT(outcome.job.counters.map_invocations,
+  // The tree touches only the matching tail instead of the whole file.
+  EXPECT_LT(indexed.job.counters.input_bytes, baseline.counters.input_bytes);
+  EXPECT_LT(indexed.job.counters.map_invocations,
             baseline.counters.map_invocations);
 }
 
-TEST_F(ReplanTest, SwitchSurvivesFaultInjection) {
+TEST_F(TailSkewTest, LocatorTreeMatchesBaselineUnderFaults) {
   mril::Program program = workloads::SelectionCountQuery(kThreshold);
-  auto adaptive = OpenSystem("ws-fault", true, true);
-  BuildLocator(adaptive.get(), program);
+  auto rule = OpenSystem("ws-fault", false);
+  BuildLocator(rule.get(), program);
 
   core::ManimalSystem::Submission job;
   job.program = program;
   job.input_path = input();
-  job.output_path = dir_.file("clean.prs");
-  ASSERT_OK_AND_ASSIGN(auto clean, adaptive->Submit(job));
-  ASSERT_TRUE(clean.job.replan.switched);
+  job.output_path = dir_.file("baseline.prs");
+  ASSERT_OK(rule->RunBaseline(job).status());
   ASSERT_OK_AND_ASSIGN(auto canonical,
-                       exec::ReadCanonicalPairs(dir_.file("clean.prs")));
+                       exec::ReadCanonicalPairs(job.output_path));
+  ASSERT_FALSE(canonical.empty());
 
   // Whether a given seed fires depends on per-run temp paths; sweep
-  // seeds until faults land, and require every faulted run — retried
-  // tasks, possibly interleaved with the plan switch — to still match
-  // the fault-free output byte for byte.
+  // the seeds and require every faulted run — retried tasks over the
+  // tree's locator splits — to match the fault-free baseline.
   bool fired = false;
-  bool switched_under_faults = false;
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     FaultyEnv::Config fault;
     fault.seed = seed;
@@ -601,19 +593,16 @@ TEST_F(ReplanTest, SwitchSurvivesFaultInjection) {
     fault.max_failures = 3;
     ScopedFaultInjection inject(fault);
     job.output_path = dir_.file("fault-" + std::to_string(seed) + ".prs");
-    ASSERT_OK_AND_ASSIGN(auto outcome, adaptive->Submit(job));
+    ASSERT_OK_AND_ASSIGN(auto outcome, rule->Submit(job));
+    ASSERT_EQ(outcome.plan.descriptor.access_path, exec::AccessPath::kBTree);
     if (FaultyEnv::Get().stats().injected > 0) {
       fired = true;
-      switched_under_faults |= outcome.job.replan.switched;
       ASSERT_OK_AND_ASSIGN(auto pairs,
                            exec::ReadCanonicalPairs(job.output_path));
       EXPECT_EQ(pairs, canonical) << "seed " << seed;
     }
-    if (fired && switched_under_faults && seed >= 4) break;
   }
   EXPECT_TRUE(fired) << "no seed injected a fault; test lost its teeth";
-  EXPECT_TRUE(switched_under_faults)
-      << "every faulted run abandoned the switch";
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <map>
 
+#include "common/faulty_env.h"
 #include "common/random.h"
 #include "index/btree.h"
 #include "index/catalog.h"
@@ -488,6 +489,42 @@ TEST(CatalogTest, CorruptManifestRejected) {
   TempDir dir("catalog5");
   ASSERT_OK(WriteStringToFile(dir.file("c.txt"), "only\ttwo\n"));
   EXPECT_FALSE(Catalog::Open(dir.file("c.txt")).ok());
+}
+
+TEST(CatalogTest, TornSaveLeavesPreviousCatalogReadable) {
+  // Fail each filesystem operation of one Register in turn (open,
+  // write — possibly torn short — close, rename, then steps past the
+  // last site). Whatever fails, the manifest on disk must stay the
+  // previous one or become the new one: never unreadable, never
+  // missing an entry that was already committed.
+  TempDir dir("catalog6");
+  CatalogEntry old_entry;
+  old_entry.input_file = "in";
+  old_entry.signature = "old";
+  old_entry.artifact_path = "/ws/artifacts/old.idx";
+  CatalogEntry new_entry = old_entry;
+  new_entry.signature = "new";
+  new_entry.artifact_path = "/ws/artifacts/new.idx";
+  for (uint64_t nth = 1; nth <= 8; ++nth) {
+    SCOPED_TRACE("fail_nth " + std::to_string(nth));
+    const std::string path =
+        dir.file("catalog-" + std::to_string(nth) + ".txt");
+    ASSERT_OK_AND_ASSIGN(Catalog catalog, Catalog::Open(path));
+    ASSERT_OK(catalog.Register(old_entry));
+    Status registered;
+    {
+      FaultyEnv::Config config;
+      config.fail_nth = nth;
+      ScopedFaultInjection inject(config);
+      ScopedFaultArming arm;
+      registered = catalog.Register(new_entry);
+    }
+    ASSERT_OK_AND_ASSIGN(Catalog reopened, Catalog::Open(path));
+    EXPECT_TRUE(reopened.Find("in", "old").has_value());
+    if (registered.ok()) {
+      EXPECT_TRUE(reopened.Find("in", "new").has_value());
+    }
+  }
 }
 
 }  // namespace

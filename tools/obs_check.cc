@@ -82,9 +82,6 @@ const std::map<std::string, std::vector<const char*>>& JournalSchema() {
       {"shuffle_merge", {"job", "partition", "disk_runs", "memory_runs"}},
       {"fault_injected",
        {"op", "path", "site_ordinal", "injected_so_far"}},
-      {"plan_switched",
-       {"job", "after_splits", "estimated", "observed", "drift_ratio",
-        "from", "to"}},
       {"direct_eval",
        {"job", "admitted", "blocks_total", "blocks_refuted", "detail"}},
       {"output_commit", {"job", "path", "records", "bytes"}},
@@ -204,8 +201,8 @@ void CheckExplain(const std::string& path) {
   if (lines.empty()) Fail(path, 0, "explain file is empty");
   static const std::set<std::string> kVerdicts = {"chosen", "rejected",
                                                  "uncataloged"};
-  static const std::set<std::string> kProvenances = {
-      "histogram", "btree-fanout", "observed"};
+  static const std::set<std::string> kProvenances = {"histogram",
+                                                    "btree-fanout"};
   for (size_t i = 0; i < lines.size(); ++i) {
     JsonValue value;
     std::string error;
