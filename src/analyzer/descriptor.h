@@ -64,6 +64,13 @@ struct KeyInterval {
   std::string ToString() const;
 };
 
+// Sorts intervals by lower bound, drops empty ones, and merges
+// overlapping or touching ones, so that no key range is covered twice
+// (an un-simplified DNF can produce overlapping intervals, and
+// per-interval sums and scans must not count a key twice).
+std::vector<KeyInterval> CanonicalizeIntervals(
+    std::vector<KeyInterval> intervals);
+
 // SELECT: map() emits only when `formula` holds (paper §2.1/§3.2).
 struct SelectionDescriptor {
   DnfFormula formula;

@@ -1,118 +1,10 @@
 #include "analyzer/expr_eval.h"
 
-#include "common/strings.h"
-#include "mril/opcode.h"
+#include "mril/ops.h"
 
 namespace manimal::analyzer {
 
 using analysis::Expr;
-using mril::Opcode;
-
-namespace {
-
-Result<Value> EvalOp(Opcode op, const std::vector<Value>& args) {
-  auto need = [&](size_t n) -> Status {
-    if (args.size() != n) {
-      return Status::Internal("bad operand count in expression");
-    }
-    return Status::OK();
-  };
-  switch (op) {
-    case Opcode::kNeg: {
-      MANIMAL_RETURN_IF_ERROR(need(1));
-      if (args[0].is_i64()) return Value::I64(-args[0].i64());
-      if (args[0].is_f64()) return Value::F64(-args[0].f64());
-      return Status::InvalidArgument("neg: non-numeric");
-    }
-    case Opcode::kNot: {
-      MANIMAL_RETURN_IF_ERROR(need(1));
-      if (!args[0].is_bool()) return Status::InvalidArgument("not: non-bool");
-      return Value::Bool(!args[0].bool_value());
-    }
-    default:
-      break;
-  }
-  MANIMAL_RETURN_IF_ERROR(need(2));
-  const Value& a = args[0];
-  const Value& b = args[1];
-  switch (op) {
-    case Opcode::kAdd:
-      if (a.is_str() && b.is_str()) {
-        return Value::Str(std::string(a.str()) + std::string(b.str()));
-      }
-      [[fallthrough]];
-    case Opcode::kSub:
-    case Opcode::kMul:
-    case Opcode::kDiv:
-    case Opcode::kMod: {
-      if (!a.is_numeric() || !b.is_numeric()) {
-        return Status::InvalidArgument("arith: non-numeric");
-      }
-      if (a.is_i64() && b.is_i64()) {
-        int64_t x = a.i64(), y = b.i64();
-        // Defined wrapping, matching the VM exactly.
-        auto wrap = [](uint64_t v) { return static_cast<int64_t>(v); };
-        switch (op) {
-          case Opcode::kAdd:
-            return Value::I64(wrap(static_cast<uint64_t>(x) +
-                                   static_cast<uint64_t>(y)));
-          case Opcode::kSub:
-            return Value::I64(wrap(static_cast<uint64_t>(x) -
-                                   static_cast<uint64_t>(y)));
-          case Opcode::kMul:
-            return Value::I64(wrap(static_cast<uint64_t>(x) *
-                                   static_cast<uint64_t>(y)));
-          case Opcode::kDiv:
-            if (y == 0) return Status::InvalidArgument("div by zero");
-            return Value::I64(x / y);
-          case Opcode::kMod:
-            if (y == 0) return Status::InvalidArgument("mod by zero");
-            return Value::I64(x % y);
-          default:
-            break;
-        }
-      }
-      double x = a.AsF64(), y = b.AsF64();
-      switch (op) {
-        case Opcode::kAdd:
-          return Value::F64(x + y);
-        case Opcode::kSub:
-          return Value::F64(x - y);
-        case Opcode::kMul:
-          return Value::F64(x * y);
-        case Opcode::kDiv:
-          return Value::F64(x / y);
-        default:
-          return Status::InvalidArgument("mod on doubles");
-      }
-    }
-    case Opcode::kCmpEq:
-      return Value::Bool(a == b);
-    case Opcode::kCmpNe:
-      return Value::Bool(!(a == b));
-    case Opcode::kCmpLt:
-      return Value::Bool(a.Compare(b) < 0);
-    case Opcode::kCmpLe:
-      return Value::Bool(a.Compare(b) <= 0);
-    case Opcode::kCmpGt:
-      return Value::Bool(a.Compare(b) > 0);
-    case Opcode::kCmpGe:
-      return Value::Bool(a.Compare(b) >= 0);
-    case Opcode::kAnd:
-    case Opcode::kOr: {
-      if (!a.is_bool() || !b.is_bool()) {
-        return Status::InvalidArgument("and/or: non-bool");
-      }
-      bool r = (op == Opcode::kAnd) ? (a.bool_value() && b.bool_value())
-                                    : (a.bool_value() || b.bool_value());
-      return Value::Bool(r);
-    }
-    default:
-      return Status::Internal("unexpected opcode in expression");
-  }
-}
-
-}  // namespace
 
 Result<Value> EvalExpr(const ExprRef& expr, const Value& key,
                        const Value& value) {
@@ -142,13 +34,18 @@ Result<Value> EvalExpr(const ExprRef& expr, const Value& key,
     case Expr::Kind::kUnknown:
       return Status::InvalidArgument("cannot evaluate unknown expression");
     case Expr::Kind::kOp: {
-      std::vector<Value> args;
-      args.reserve(expr->args.size());
-      for (const ExprRef& a : expr->args) {
-        MANIMAL_ASSIGN_OR_RETURN(Value v, EvalExpr(a, key, value));
-        args.push_back(std::move(v));
+      const int arity = mril::GetOpcodeInfo(expr->op).pops;
+      if (arity < 1 || static_cast<int>(expr->args.size()) != arity) {
+        return Status::Internal("bad operand count in expression");
       }
-      return EvalOp(expr->op, args);
+      Value args[2];
+      for (int i = 0; i < arity; ++i) {
+        MANIMAL_ASSIGN_OR_RETURN(args[i], EvalExpr(expr->args[i], key, value));
+      }
+      // No arena: a str + str result must outlive this call.
+      Value out;
+      MANIMAL_RETURN_IF_ERROR(mril::ApplyOp(expr->op, args, &out, nullptr));
+      return out;
     }
     case Expr::Kind::kCall: {
       if (expr->builtin == nullptr || !expr->builtin->functional) {

@@ -4,7 +4,9 @@
 // validate the selection formula against actual map() behaviour.
 //
 // Only functional expressions (IsFunctional == true) are evaluatable;
-// members/unknowns/impure calls yield errors.
+// members/unknowns/impure calls yield errors. Operators apply through
+// mril::ApplyOp, the VM's own definition, so evaluation raises exactly
+// where the VM raises.
 
 #ifndef MANIMAL_ANALYZER_EXPR_EVAL_H_
 #define MANIMAL_ANALYZER_EXPR_EVAL_H_

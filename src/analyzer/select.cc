@@ -1,7 +1,7 @@
 #include "analyzer/select.h"
 
-#include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "analysis/cfg.h"
 #include "analysis/expr_recovery.h"
@@ -10,6 +10,7 @@
 #include "analysis/side_effects.h"
 #include "analyzer/simplify.h"
 #include "common/strings.h"
+#include "mril/ops.h"
 
 namespace manimal::analyzer {
 
@@ -22,43 +23,8 @@ using mril::Opcode;
 
 namespace {
 
-// Flips a comparison for negative polarity: !(a < b) == (a >= b).
-Opcode NegateComparison(Opcode op) {
-  switch (op) {
-    case Opcode::kCmpLt:
-      return Opcode::kCmpGe;
-    case Opcode::kCmpLe:
-      return Opcode::kCmpGt;
-    case Opcode::kCmpGt:
-      return Opcode::kCmpLe;
-    case Opcode::kCmpGe:
-      return Opcode::kCmpLt;
-    case Opcode::kCmpEq:
-      return Opcode::kCmpNe;
-    case Opcode::kCmpNe:
-      return Opcode::kCmpEq;
-    default:
-      return op;
-  }
-}
-
-// Mirrors a comparison when swapping operands: (c < e) == (e > c).
-Opcode MirrorComparison(Opcode op) {
-  switch (op) {
-    case Opcode::kCmpLt:
-      return Opcode::kCmpGt;
-    case Opcode::kCmpLe:
-      return Opcode::kCmpGe;
-    case Opcode::kCmpGt:
-      return Opcode::kCmpLt;
-    case Opcode::kCmpGe:
-      return Opcode::kCmpLe;
-    default:
-      return op;  // eq/ne symmetric
-  }
-}
-
-// Static value-kind inference (used to gate integer normalizations).
+// Static value-kind inference (gates integer normalizations and
+// ordered bounds).
 std::optional<ValueKind> StaticKind(const ExprRef& e,
                                     const mril::Program& program) {
   if (e == nullptr) return std::nullopt;
@@ -67,19 +33,10 @@ std::optional<ValueKind> StaticKind(const ExprRef& e,
       return e->constant.kind();
     case Expr::Kind::kParam:
       if (e->index == mril::kMapKeyParam) {
-        switch (program.key_type) {
-          case FieldType::kI64:
-            return ValueKind::kI64;
-          case FieldType::kF64:
-            return ValueKind::kF64;
-          case FieldType::kStr:
-            return ValueKind::kStr;
-          case FieldType::kBool:
-            return ValueKind::kBool;
-        }
+        return FieldValueKind(program.key_type);
       }
       return std::nullopt;  // the record/blob parameter
-    case Expr::Kind::kField: {
+    case Expr::Kind::kField:
       if (e->args.empty() || e->args[0] == nullptr ||
           e->args[0]->kind != Expr::Kind::kParam ||
           e->args[0]->index != mril::kMapValueParam ||
@@ -87,18 +44,7 @@ std::optional<ValueKind> StaticKind(const ExprRef& e,
           e->index >= program.value_schema.num_fields()) {
         return std::nullopt;
       }
-      switch (program.value_schema.field(e->index).type) {
-        case FieldType::kI64:
-          return ValueKind::kI64;
-        case FieldType::kF64:
-          return ValueKind::kF64;
-        case FieldType::kStr:
-          return ValueKind::kStr;
-        case FieldType::kBool:
-          return ValueKind::kBool;
-      }
-      return std::nullopt;
-    }
+      return FieldValueKind(program.value_schema.field(e->index).type);
     case Expr::Kind::kMember:
     case Expr::Kind::kUnknown:
       return std::nullopt;
@@ -270,10 +216,10 @@ bool ParseTerm(const SelectTerm& term, const mril::Program& program,
   };
   if (is_const(lhs) && !is_const(rhs)) {
     std::swap(lhs, rhs);
-    op = MirrorComparison(op);
+    op = mril::MirrorComparison(op);
   }
   if (is_const(lhs) || !is_const(rhs)) return false;
-  if (!term.polarity) op = NegateComparison(op);
+  if (!term.polarity) op = mril::NegateComparison(op);
 
   // Shifted form?
   if (lhs->kind == Expr::Kind::kOp &&
@@ -330,6 +276,7 @@ bool DeriveIndexRanges(const mril::Program& program,
 
   // Pass 1: every literal must parse against one common base E.
   ExprRef common;
+  std::vector<ValueKind> ordered_bounds;
   for (const Conjunct& c : formula.disjuncts) {
     for (const SelectTerm& t : c.terms) {
       ParsedTerm parsed;
@@ -339,9 +286,23 @@ bool DeriveIndexRanges(const mril::Program& program,
       } else if (!common->Equals(*parsed.base)) {
         return false;
       }
+      if (parsed.op != Opcode::kCmpEq && parsed.op != Opcode::kCmpNe) {
+        ordered_bounds.push_back(parsed.bound.kind());
+      }
     }
   }
   if (common == nullptr) return false;  // all-true conjuncts: no keying
+  // The VM raises on an ordered comparison of kinds it cannot order,
+  // and no range may exclude a record it raises on. So every ordered
+  // bound must order with E's static kind when that is known, and with
+  // every other ordered bound (equality is total across kinds).
+  if (!ordered_bounds.empty()) {
+    const ValueKind kind =
+        StaticKind(common, program).value_or(ordered_bounds[0]);
+    for (ValueKind bound : ordered_bounds) {
+      if (!mril::OrderedComparable(kind, bound)) return false;
+    }
+  }
 
   // Pass 2: interval-set per conjunct (intersection of term solutions),
   // unioned across disjuncts.
@@ -365,56 +326,10 @@ bool DeriveIndexRanges(const mril::Program& program,
     for (KeyInterval& iv : conjunct_set) result.push_back(iv);
   }
 
-  if (result.empty()) {
-    // Formula unsatisfiable; an empty scan is still valid & safe.
-    *indexed_expr = common;
-    return true;
-  }
-
-  // Merge overlapping intervals (sort by lower bound).
-  std::sort(result.begin(), result.end(),
-            [](const KeyInterval& a, const KeyInterval& b) {
-              if (!a.lo.has_value()) return b.lo.has_value();
-              if (!b.lo.has_value()) return false;
-              int c = a.lo->Compare(*b.lo);
-              if (c != 0) return c < 0;
-              return a.lo_inclusive && !b.lo_inclusive;
-            });
-  std::vector<KeyInterval> merged;
-  for (const KeyInterval& iv : result) {
-    if (!merged.empty()) {
-      KeyInterval& last = merged.back();
-      bool overlaps = false;
-      if (!last.hi.has_value()) {
-        overlaps = true;
-      } else if (!iv.lo.has_value()) {
-        overlaps = true;
-      } else {
-        int c = iv.lo->Compare(*last.hi);
-        overlaps =
-            c < 0 || (c == 0 && (iv.lo_inclusive || last.hi_inclusive));
-      }
-      if (overlaps) {
-        if (last.hi.has_value()) {
-          if (!iv.hi.has_value()) {
-            last.hi.reset();
-          } else {
-            int c = iv.hi->Compare(*last.hi);
-            if (c > 0 || (c == 0 && iv.hi_inclusive)) {
-              last.hi = iv.hi;
-              last.hi_inclusive =
-                  c > 0 ? iv.hi_inclusive
-                        : (last.hi_inclusive || iv.hi_inclusive);
-            }
-          }
-        }
-        continue;
-      }
-    }
-    merged.push_back(iv);
-  }
-  *intervals = std::move(merged);
   *indexed_expr = common;
+  // Empty when the formula is unsatisfiable: an empty scan is still
+  // valid and safe.
+  *intervals = CanonicalizeIntervals(std::move(result));
   return true;
 }
 

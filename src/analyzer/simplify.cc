@@ -42,40 +42,6 @@ bool IsFoldable(const ExprRef& e) {
   return false;
 }
 
-Opcode InvertComparison(Opcode op) {
-  switch (op) {
-    case Opcode::kCmpLt:
-      return Opcode::kCmpGe;
-    case Opcode::kCmpLe:
-      return Opcode::kCmpGt;
-    case Opcode::kCmpGt:
-      return Opcode::kCmpLe;
-    case Opcode::kCmpGe:
-      return Opcode::kCmpLt;
-    case Opcode::kCmpEq:
-      return Opcode::kCmpNe;
-    case Opcode::kCmpNe:
-      return Opcode::kCmpEq;
-    default:
-      return op;
-  }
-}
-
-Opcode MirrorComparison(Opcode op) {
-  switch (op) {
-    case Opcode::kCmpLt:
-      return Opcode::kCmpGt;
-    case Opcode::kCmpLe:
-      return Opcode::kCmpGe;
-    case Opcode::kCmpGt:
-      return Opcode::kCmpLt;
-    case Opcode::kCmpGe:
-      return Opcode::kCmpLe;
-    default:
-      return op;
-  }
-}
-
 }  // namespace
 
 ExprRef Simplify(const ExprRef& expr) {
@@ -101,14 +67,16 @@ ExprRef Simplify(const ExprRef& expr) {
                                 expr->origin_pc);
   }
 
-  // Constant folding: exact because EvalExpr implements the same
-  // (defined-wrapping) semantics as the VM.
+  // Constant folding: exact because EvalExpr applies operators through
+  // mril::ApplyOp, the VM's own definition. What the VM would raise on
+  // (a zero divisor, an ordered comparison of incomparable kinds) does
+  // not fold.
   if (IsFoldable(node)) {
     auto folded = EvalExpr(node, Value::Null(), Value::Null());
     if (folded.ok()) {
       return Expr::MakeConst(std::move(folded).value(), node->origin_pc);
     }
-    return node;  // e.g. division by zero: leave it for runtime
+    return node;  // leave the error for the VM to raise
   }
 
   if (node->kind == Expr::Kind::kOp) {
@@ -120,15 +88,15 @@ ExprRef Simplify(const ExprRef& expr) {
           return inner->args[0];
         }
         if (mril::IsComparison(inner->op) && inner->args.size() == 2) {
-          return Expr::MakeOp(InvertComparison(inner->op), inner->args,
-                              node->origin_pc);
+          return Expr::MakeOp(mril::NegateComparison(inner->op),
+                              inner->args, node->origin_pc);
         }
       }
     }
     // Canonical orientation: constant on the right.
     if (mril::IsComparison(node->op) && node->args.size() == 2 &&
         IsConst(node->args[0]) && !IsConst(node->args[1])) {
-      return Expr::MakeOp(MirrorComparison(node->op),
+      return Expr::MakeOp(mril::MirrorComparison(node->op),
                           {node->args[1], node->args[0]},
                           node->origin_pc);
     }

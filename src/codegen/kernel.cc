@@ -7,6 +7,7 @@
 
 #include "common/strings.h"
 #include "mril/builtins.h"
+#include "mril/ops.h"
 
 namespace manimal::codegen {
 
@@ -182,167 +183,24 @@ class TypedFieldCmpNode final : public Node {
   Value rhs_;
 };
 
-// Generic comparison, mirroring the VM's CompareSlow exactly:
-// equality is total across kinds; ordering requires comparable kinds
-// and bails (where the VM errors) otherwise.
-class CmpNode final : public Node {
+// An MRIL operator applied through mril::ApplyOp, the VM's own slow
+// path, so results agree by construction: the node bails exactly
+// where the VM raises. Like the VM's, and/or evaluate both operands
+// (no short circuit), so fault behavior is identical too.
+class OpNode final : public Node {
  public:
-  CmpNode(Opcode op, const Node* lhs, const Node* rhs)
+  // `rhs` is null for the unary operators (neg, not).
+  OpNode(Opcode op, const Node* lhs, const Node* rhs)
       : op_(op), lhs_(lhs), rhs_(rhs) {}
   bool Eval(EvalCtx& ctx, Value* out) const override {
-    Value a, b;
-    if (!lhs_->Eval(ctx, &a) || !rhs_->Eval(ctx, &b)) return false;
-    bool cond;
-    const int64_t* xp = a.if_i64();
-    const int64_t* yp = b.if_i64();
-    if (xp != nullptr && yp != nullptr) {
-      switch (op_) {
-        case Opcode::kCmpLt: cond = *xp < *yp; break;
-        case Opcode::kCmpLe: cond = *xp <= *yp; break;
-        case Opcode::kCmpGt: cond = *xp > *yp; break;
-        case Opcode::kCmpGe: cond = *xp >= *yp; break;
-        case Opcode::kCmpEq: cond = *xp == *yp; break;
-        default: cond = *xp != *yp; break;
-      }
-    } else if (op_ == Opcode::kCmpEq) {
-      cond = (a == b);
-    } else if (op_ == Opcode::kCmpNe) {
-      cond = !(a == b);
-    } else {
-      bool comparable = (a.is_numeric() && b.is_numeric()) ||
-                        (a.is_str() && b.is_str()) ||
-                        (a.is_bool() && b.is_bool());
-      if (!comparable) return false;
-      int c = a.Compare(b);
-      switch (op_) {
-        case Opcode::kCmpLt: cond = c < 0; break;
-        case Opcode::kCmpLe: cond = c <= 0; break;
-        case Opcode::kCmpGt: cond = c > 0; break;
-        default: cond = c >= 0; break;
-      }
-    }
-    *out = Value::Bool(cond);
-    return true;
+    Value args[2];
+    if (!lhs_->Eval(ctx, &args[0])) return false;
+    if (rhs_ != nullptr && !rhs_->Eval(ctx, &args[1])) return false;
+    return mril::ApplyOp(op_, args, out, ctx.arena).ok();
   }
 
  private:
   Opcode op_;
-  const Node* lhs_;
-  const Node* rhs_;
-};
-
-// Arithmetic mirroring the VM's fast path + ArithSlow: two's-
-// complement wrapping i64, f64 promotion for mixed numerics, arena
-// concat for str add; div/mod by zero, f64 mod, and type errors bail.
-class ArithNode final : public Node {
- public:
-  ArithNode(Opcode op, const Node* lhs, const Node* rhs)
-      : op_(op), lhs_(lhs), rhs_(rhs) {}
-  bool Eval(EvalCtx& ctx, Value* out) const override {
-    Value a, b;
-    if (!lhs_->Eval(ctx, &a) || !rhs_->Eval(ctx, &b)) return false;
-    if (op_ == Opcode::kAdd && a.is_str() && b.is_str()) {
-      *out = Value::Borrowed(ctx.arena->Concat(a.str(), b.str()));
-      return true;
-    }
-    if (!a.is_numeric() || !b.is_numeric()) return false;
-    if (a.is_i64() && b.is_i64()) {
-      const uint64_t x = static_cast<uint64_t>(a.i64());
-      const uint64_t y = static_cast<uint64_t>(b.i64());
-      switch (op_) {
-        case Opcode::kAdd:
-          *out = Value::I64(static_cast<int64_t>(x + y));
-          return true;
-        case Opcode::kSub:
-          *out = Value::I64(static_cast<int64_t>(x - y));
-          return true;
-        case Opcode::kMul:
-          *out = Value::I64(static_cast<int64_t>(x * y));
-          return true;
-        case Opcode::kDiv:
-          if (b.i64() == 0) return false;
-          *out = Value::I64(a.i64() / b.i64());
-          return true;
-        default:
-          if (b.i64() == 0) return false;
-          *out = Value::I64(a.i64() % b.i64());
-          return true;
-      }
-    }
-    const double x = a.AsF64();
-    const double y = b.AsF64();
-    switch (op_) {
-      case Opcode::kAdd: *out = Value::F64(x + y); return true;
-      case Opcode::kSub: *out = Value::F64(x - y); return true;
-      case Opcode::kMul: *out = Value::F64(x * y); return true;
-      case Opcode::kDiv: *out = Value::F64(x / y); return true;
-      default: return false;  // mod on doubles: VM errors
-    }
-  }
-
- private:
-  Opcode op_;
-  const Node* lhs_;
-  const Node* rhs_;
-};
-
-class NegNode final : public Node {
- public:
-  explicit NegNode(const Node* arg) : arg_(arg) {}
-  bool Eval(EvalCtx& ctx, Value* out) const override {
-    Value a;
-    if (!arg_->Eval(ctx, &a)) return false;
-    if (const int64_t* x = a.if_i64()) {
-      *out = Value::I64(
-          static_cast<int64_t>(0u - static_cast<uint64_t>(*x)));
-      return true;
-    }
-    if (const double* d = a.if_f64()) {
-      *out = Value::F64(-*d);
-      return true;
-    }
-    return false;
-  }
-
- private:
-  const Node* arg_;
-};
-
-class NotNode final : public Node {
- public:
-  explicit NotNode(const Node* arg) : arg_(arg) {}
-  bool Eval(EvalCtx& ctx, Value* out) const override {
-    Value a;
-    if (!arg_->Eval(ctx, &a)) return false;
-    const bool* x = a.if_bool();
-    if (x == nullptr) return false;
-    *out = Value::Bool(!*x);
-    return true;
-  }
-
- private:
-  const Node* arg_;
-};
-
-// The VM's and/or are NOT short-circuit (both operands were already
-// on the stack); the node evaluates both for identical fault
-// behavior.
-class BoolOpNode final : public Node {
- public:
-  BoolOpNode(Opcode op, const Node* lhs, const Node* rhs)
-      : is_and_(op == Opcode::kAnd), lhs_(lhs), rhs_(rhs) {}
-  bool Eval(EvalCtx& ctx, Value* out) const override {
-    Value a, b;
-    if (!lhs_->Eval(ctx, &a) || !rhs_->Eval(ctx, &b)) return false;
-    const bool* x = a.if_bool();
-    const bool* y = b.if_bool();
-    if (x == nullptr || y == nullptr) return false;
-    *out = Value::Bool(is_and_ ? (*x && *y) : (*x || *y));
-    return true;
-  }
-
- private:
-  bool is_and_;
   const Node* lhs_;
   const Node* rhs_;
 };
@@ -381,16 +239,6 @@ bool IsNumericKind(std::optional<ValueKind> k) {
   return k == ValueKind::kI64 || k == ValueKind::kF64;
 }
 
-ValueKind KindOfFieldType(FieldType t) {
-  switch (t) {
-    case FieldType::kI64: return ValueKind::kI64;
-    case FieldType::kF64: return ValueKind::kF64;
-    case FieldType::kStr: return ValueKind::kStr;
-    case FieldType::kBool: return ValueKind::kBool;
-  }
-  return ValueKind::kNull;
-}
-
 class Compiler {
  public:
   Compiler(const mril::Program& program, const CompileOptions& options)
@@ -411,7 +259,7 @@ class Compiler {
         if (expr->index == mril::kMapKeyParam) {
           auto node = std::make_unique<KeyNode>();
           node->total = true;
-          node->kind = KindOfFieldType(program_.key_type);
+          node->kind = FieldValueKind(program_.key_type);
           return Own(std::move(node));
         }
         if (expr->index == mril::kMapValueParam) {
@@ -523,7 +371,7 @@ class Compiler {
     auto node = std::make_unique<FieldNode>(slot);
     node->total = true;  // the arity gate proves the slot in bounds
     node->kind =
-        KindOfFieldType(program_.value_schema.field(expr->index).type);
+        FieldValueKind(program_.value_schema.field(expr->index).type);
     return Own(std::move(node));
   }
 
@@ -589,64 +437,45 @@ class Compiler {
   }
 
   Result<const Node*> BuildOp(const ExprRef& expr) {
-    std::vector<const Node*> args;
-    for (const ExprRef& a : expr->args) {
-      MANIMAL_ASSIGN_OR_RETURN(const Node* n, Build(a));
-      args.push_back(n);
-    }
-    std::unique_ptr<Node> node;
     const Opcode op = expr->op;
+    const int arity = mril::GetOpcodeInfo(op).pops;
+    if (arity < 1 || static_cast<int>(expr->args.size()) != arity) {
+      return Status::NotSupported(
+          "bad operand count for " +
+          std::string(mril::GetOpcodeInfo(op).mnemonic));
+    }
+    MANIMAL_ASSIGN_OR_RETURN(const Node* lhs, Build(expr->args[0]));
+    const Node* rhs = nullptr;
+    if (arity == 2) {
+      MANIMAL_ASSIGN_OR_RETURN(rhs, Build(expr->args[1]));
+    }
+    auto node = std::make_unique<OpNode>(op, lhs, rhs);
+    const bool args_total = lhs->total && (rhs == nullptr || rhs->total);
     if (mril::IsComparison(op)) {
-      if (args.size() != 2) return Status::NotSupported("bad cmp arity");
-      node = std::make_unique<CmpNode>(op, args[0], args[1]);
       node->kind = ValueKind::kBool;
-      const bool args_total = args[0]->total && args[1]->total;
-      if (op == Opcode::kCmpEq || op == Opcode::kCmpNe) {
-        node->total = args_total;  // equality works across kinds
-      } else {
-        node->total = args_total && Comparable(args[0]->kind,
-                                               args[1]->kind);
-      }
+      // Equality works across kinds; ordering needs comparable ones.
+      node->total = args_total &&
+                    (op == Opcode::kCmpEq || op == Opcode::kCmpNe ||
+                     (lhs->kind.has_value() && rhs->kind.has_value() &&
+                      mril::OrderedComparable(*lhs->kind, *rhs->kind)));
     } else if (op == Opcode::kAdd || op == Opcode::kSub ||
                op == Opcode::kMul || op == Opcode::kDiv ||
                op == Opcode::kMod) {
-      if (args.size() != 2) {
-        return Status::NotSupported("bad arith arity");
-      }
-      node = std::make_unique<ArithNode>(op, args[0], args[1]);
-      SetArithMeta(op, expr, args[0], args[1], node.get());
+      SetArithMeta(op, expr, lhs, rhs, node.get());
     } else if (op == Opcode::kNeg) {
-      if (args.size() != 1) return Status::NotSupported("bad neg arity");
-      node = std::make_unique<NegNode>(args[0]);
-      node->kind = args[0]->kind;
-      node->total = args[0]->total && IsNumericKind(args[0]->kind);
-    } else if (op == Opcode::kNot) {
-      if (args.size() != 1) return Status::NotSupported("bad not arity");
-      node = std::make_unique<NotNode>(args[0]);
+      node->kind = lhs->kind;
+      node->total = args_total && IsNumericKind(lhs->kind);
+    } else if (op == Opcode::kNot || op == Opcode::kAnd ||
+               op == Opcode::kOr) {
       node->kind = ValueKind::kBool;
-      node->total = args[0]->total && args[0]->kind == ValueKind::kBool;
-    } else if (op == Opcode::kAnd || op == Opcode::kOr) {
-      if (args.size() != 2) {
-        return Status::NotSupported("bad and/or arity");
-      }
-      node = std::make_unique<BoolOpNode>(op, args[0], args[1]);
-      node->kind = ValueKind::kBool;
-      node->total = args[0]->total && args[1]->total &&
-                    args[0]->kind == ValueKind::kBool &&
-                    args[1]->kind == ValueKind::kBool;
+      node->total = args_total && lhs->kind == ValueKind::kBool &&
+                    (rhs == nullptr || rhs->kind == ValueKind::kBool);
     } else {
       return Status::NotSupported(
           "unsupported opcode in expression: " +
           std::string(mril::GetOpcodeInfo(op).mnemonic));
     }
     return Own(std::move(node));
-  }
-
-  static bool Comparable(std::optional<ValueKind> a,
-                         std::optional<ValueKind> b) {
-    if (!a.has_value() || !b.has_value()) return false;
-    if (IsNumericKind(a) && IsNumericKind(b)) return true;
-    return a == b && (*a == ValueKind::kStr || *a == ValueKind::kBool);
   }
 
   void SetArithMeta(Opcode op, const ExprRef& expr, const Node* lhs,

@@ -3,7 +3,7 @@
 #include "analyzer/descriptor.h"
 #include "codegen/shape.h"
 #include "common/strings.h"
-#include "mril/opcode.h"
+#include "mril/ops.h"
 
 namespace manimal::codegen {
 namespace {
@@ -20,31 +20,6 @@ struct SimpleTerm {
   bool polarity = true;  // term must evaluate to this
 };
 
-bool IsCmp(mril::Opcode op) {
-  switch (op) {
-    case mril::Opcode::kCmpEq:
-    case mril::Opcode::kCmpNe:
-    case mril::Opcode::kCmpLt:
-    case mril::Opcode::kCmpLe:
-    case mril::Opcode::kCmpGt:
-    case mril::Opcode::kCmpGe:
-      return true;
-    default:
-      return false;
-  }
-}
-
-// Mirror of `a <op> b` -> `b <op'> a`, for const-first terms.
-mril::Opcode Flip(mril::Opcode op) {
-  switch (op) {
-    case mril::Opcode::kCmpLt: return mril::Opcode::kCmpGt;
-    case mril::Opcode::kCmpLe: return mril::Opcode::kCmpGe;
-    case mril::Opcode::kCmpGt: return mril::Opcode::kCmpLt;
-    case mril::Opcode::kCmpGe: return mril::Opcode::kCmpLe;
-    default: return op;  // Eq/Ne are symmetric
-  }
-}
-
 // Is `e` a plain field access of the map value parameter (param 1)?
 bool IsValueField(const Expr& e, int* field) {
   if (e.kind != Expr::Kind::kField || e.args.size() != 1) return false;
@@ -57,10 +32,12 @@ bool IsValueField(const Expr& e, int* field) {
 // Parses one DNF term into SimpleTerm form. Returns false when the
 // term is NOT a simple total comparison — which disqualifies the whole
 // program (see header).
-bool ParseTerm(const SelectTerm& term, const columnar::SeqFileReader& reader,
+bool ParseTerm(const SelectTerm& term, const Schema& schema,
+               const columnar::SeqFileReader& reader,
                const std::vector<int>& field_remap, SimpleTerm* out) {
   const Expr& e = *term.expr;
-  if (e.kind != Expr::Kind::kOp || !IsCmp(e.op) || e.args.size() != 2) {
+  if (e.kind != Expr::Kind::kOp || !mril::IsComparison(e.op) ||
+      e.args.size() != 2) {
     return false;
   }
   const Expr& lhs = *e.args[0];
@@ -73,16 +50,25 @@ bool ParseTerm(const SelectTerm& term, const columnar::SeqFileReader& reader,
   } else if (IsValueField(rhs, &field) &&
              lhs.kind == Expr::Kind::kConst) {
     cst = &lhs;
-    op = Flip(op);
+    op = mril::MirrorComparison(op);
   } else {
+    return false;
+  }
+  // Equality is total across kinds. An ordered comparison is total
+  // only when the field's schema kind orders with the constant's;
+  // otherwise the VM raises on every row, and a skipped block would
+  // hide that.
+  if (op != mril::Opcode::kCmpEq && op != mril::Opcode::kCmpNe &&
+      (schema.opaque() || field < 0 || field >= schema.num_fields() ||
+       !mril::OrderedComparable(FieldValueKind(schema.field(field).type),
+                                cst->constant.kind()))) {
     return false;
   }
   out->op = op;
   out->polarity = term.polarity;
   out->slot = -1;
-  // Frames bound decoded i64s only; other constant types keep the
-  // term admissible (a comparison is total regardless) but unusable
-  // for proving.
+  // Frames bound decoded i64s only; other total comparisons stay
+  // admissible but unusable for proving.
   if (!cst->constant.is_i64()) return true;
   out->value = cst->constant.i64();
   int slot = field;
@@ -161,7 +147,7 @@ std::shared_ptr<const std::vector<bool>> BuildBlockSkipFilter(
     bool provable = false;
     for (const SelectTerm& t : c.terms) {
       SimpleTerm st;
-      if (!ParseTerm(t, reader, field_remap, &st)) {
+      if (!ParseTerm(t, program.value_schema, reader, field_remap, &st)) {
         rep.detail =
             "term not a simple total comparison: " + t.ToString();
         return nullptr;

@@ -108,6 +108,44 @@ inline bool IsComparison(Opcode op) {
   }
 }
 
+// The comparison that holds exactly when `op` fails: !(a < b) is
+// (a >= b). Non-comparisons are returned unchanged.
+inline Opcode NegateComparison(Opcode op) {
+  switch (op) {
+    case Opcode::kCmpLt:
+      return Opcode::kCmpGe;
+    case Opcode::kCmpLe:
+      return Opcode::kCmpGt;
+    case Opcode::kCmpGt:
+      return Opcode::kCmpLe;
+    case Opcode::kCmpGe:
+      return Opcode::kCmpLt;
+    case Opcode::kCmpEq:
+      return Opcode::kCmpNe;
+    case Opcode::kCmpNe:
+      return Opcode::kCmpEq;
+    default:
+      return op;
+  }
+}
+
+// The comparison with its operands swapped: (a < b) is (b > a).
+// Equality is symmetric; non-comparisons are returned unchanged.
+inline Opcode MirrorComparison(Opcode op) {
+  switch (op) {
+    case Opcode::kCmpLt:
+      return Opcode::kCmpGt;
+    case Opcode::kCmpLe:
+      return Opcode::kCmpGe;
+    case Opcode::kCmpGt:
+      return Opcode::kCmpLt;
+    case Opcode::kCmpGe:
+      return Opcode::kCmpLe;
+    default:
+      return op;
+  }
+}
+
 }  // namespace manimal::mril
 
 #endif  // MANIMAL_MRIL_OPCODE_H_

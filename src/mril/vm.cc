@@ -3,124 +3,14 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/check.h"
 #include "common/strings.h"
 #include "mril/builtins.h"
+#include "mril/ops.h"
 #include "obs/metrics.h"
 
 namespace manimal::mril {
 
 namespace {
-
-Status TypeError(const char* op, const Value& a) {
-  return Status::InvalidArgument(StrPrintf("%s: bad operand kind %s", op,
-                                           ValueKindName(a.kind())));
-}
-
-Status TypeError2(std::string_view op, const Value& a, const Value& b) {
-  return Status::InvalidArgument(
-      StrPrintf("%.*s: bad operand kinds %s, %s",
-                static_cast<int>(op.size()), op.data(),
-                ValueKindName(a.kind()), ValueKindName(b.kind())));
-}
-
-// Arithmetic off the all-i64 fast path: doubles, mixed numerics,
-// string concatenation (kAdd), and the div/mod zero checks. Concat
-// results are arena-backed views (inline when short) — the per-record
-// reset reclaims them without freeing.
-Status ArithSlow(Opcode op, const Value& a, const Value& b, Value* out,
-                 ValueArena* arena) {
-  if (op == Opcode::kAdd && a.is_str() && b.is_str()) {
-    *out = Value::Borrowed(arena->Concat(a.str(), b.str()));
-    return Status::OK();
-  }
-  if (!a.is_numeric() || !b.is_numeric()) {
-    return TypeError2(GetOpcodeInfo(op).mnemonic, a, b);
-  }
-  if (a.is_i64() && b.is_i64()) {
-    int64_t x = a.i64(), y = b.i64();
-    // Arithmetic is defined two's-complement wrapping (via unsigned),
-    // like the JVM's — never C++ signed-overflow UB.
-    auto wrap = [](uint64_t v) { return static_cast<int64_t>(v); };
-    switch (op) {
-      case Opcode::kAdd:
-        *out = Value::I64(wrap(static_cast<uint64_t>(x) +
-                               static_cast<uint64_t>(y)));
-        return Status::OK();
-      case Opcode::kSub:
-        *out = Value::I64(wrap(static_cast<uint64_t>(x) -
-                               static_cast<uint64_t>(y)));
-        return Status::OK();
-      case Opcode::kMul:
-        *out = Value::I64(wrap(static_cast<uint64_t>(x) *
-                               static_cast<uint64_t>(y)));
-        return Status::OK();
-      case Opcode::kDiv:
-        if (y == 0) return Status::InvalidArgument("integer division by 0");
-        *out = Value::I64(x / y);
-        return Status::OK();
-      case Opcode::kMod:
-        if (y == 0) return Status::InvalidArgument("integer modulo by 0");
-        *out = Value::I64(x % y);
-        return Status::OK();
-      default:
-        MANIMAL_UNREACHABLE();
-    }
-  }
-  double x = a.AsF64(), y = b.AsF64();
-  switch (op) {
-    case Opcode::kAdd:
-      *out = Value::F64(x + y);
-      return Status::OK();
-    case Opcode::kSub:
-      *out = Value::F64(x - y);
-      return Status::OK();
-    case Opcode::kMul:
-      *out = Value::F64(x * y);
-      return Status::OK();
-    case Opcode::kDiv:
-      *out = Value::F64(x / y);
-      return Status::OK();
-    case Opcode::kMod:
-      return Status::InvalidArgument("mod requires integer operands");
-    default:
-      MANIMAL_UNREACHABLE();
-  }
-}
-
-// Comparison off the all-i64 fast path.
-Status CompareSlow(Opcode op, const Value& a, const Value& b, bool* out) {
-  // Equality works across kinds; ordering needs comparable kinds.
-  if (op == Opcode::kCmpEq) {
-    *out = (a == b);
-    return Status::OK();
-  }
-  if (op == Opcode::kCmpNe) {
-    *out = !(a == b);
-    return Status::OK();
-  }
-  bool comparable = (a.is_numeric() && b.is_numeric()) ||
-                    (a.is_str() && b.is_str()) ||
-                    (a.is_bool() && b.is_bool());
-  if (!comparable) return TypeError2("compare", a, b);
-  int c = a.Compare(b);
-  switch (op) {
-    case Opcode::kCmpLt:
-      *out = c < 0;
-      return Status::OK();
-    case Opcode::kCmpLe:
-      *out = c <= 0;
-      return Status::OK();
-    case Opcode::kCmpGt:
-      *out = c > 0;
-      return Status::OK();
-    case Opcode::kCmpGe:
-      *out = c >= 0;
-      return Status::OK();
-    default:
-      MANIMAL_UNREACHABLE();
-  }
-}
 
 // Registry counter pointers, resolved once per process so VmInstance
 // teardown is plain pointer arithmetic — no name concat, no registry
@@ -339,139 +229,97 @@ Status VmInstance::Run(const LinkedFunction& lf, const Value* const* params) {
         ++ip;
         continue;
 
-#define MANIMAL_VM_ARITH_I64(LOPNAME, OPCODE, WRAP_EXPR)             \
-  case LOp::LOPNAME: {                                               \
-    Value& a = stack[sp - 2];                                        \
-    Value& b = stack[sp - 1];                                        \
-    const int64_t* xp = a.if_i64();                                  \
-    const int64_t* yp = b.if_i64();                                  \
-    if (xp != nullptr && yp != nullptr) {                            \
-      const uint64_t ux = static_cast<uint64_t>(*xp);                \
-      const uint64_t uy = static_cast<uint64_t>(*yp);                \
-      a = Value::I64(WRAP_EXPR);                                     \
-    } else {                                                         \
-      Value out;                                                     \
-      ret = ArithSlow(OPCODE, a, b, &out, &arena_);                  \
-      if (!ret.ok()) goto L_done;                                    \
-      a = std::move(out);                                            \
-    }                                                                \
-    b = Value();                                                     \
-    --sp;                                                            \
-    ++ip;                                                            \
-    continue;                                                        \
+// Off an operator's inline fast path, the VM applies it through
+// mril::ApplyOp (the one definition every evaluator shares) to the top
+// ARITY stack slots, leaving the result in the lowest.
+#define MANIMAL_VM_APPLY_OP(OPCODE, ARITY)                          \
+  {                                                                 \
+    Value out;                                                      \
+    ret = ApplyOp(OPCODE, stack + (sp - (ARITY)), &out, &arena_);   \
+    if (!ret.ok()) goto L_done;                                     \
+    stack[sp - (ARITY)] = std::move(out);                           \
   }
 
-      // Arithmetic is defined two's-complement wrapping (via unsigned),
-      // like the JVM's — never C++ signed-overflow UB. Division routes
-      // through the slow path for its zero check.
-      MANIMAL_VM_ARITH_I64(kAdd, Opcode::kAdd, static_cast<int64_t>(ux + uy))
-      MANIMAL_VM_ARITH_I64(kSub, Opcode::kSub, static_cast<int64_t>(ux - uy))
-      MANIMAL_VM_ARITH_I64(kMul, Opcode::kMul, static_cast<int64_t>(ux * uy))
-#undef MANIMAL_VM_ARITH_I64
-
-#define MANIMAL_VM_ARITH_SLOW(LOPNAME, OPCODE)               \
+// A binary operator whose operands both hold PROBE's representation
+// is computed inline as FAST_EXPR over x and y.
+#define MANIMAL_VM_BINARY(LOPNAME, OPCODE, PROBE, FAST_EXPR) \
   case LOp::LOPNAME: {                                       \
     Value& a = stack[sp - 2];                                \
     Value& b = stack[sp - 1];                                \
-    Value out;                                               \
-    ret = ArithSlow(OPCODE, a, b, &out, &arena_);            \
-    if (!ret.ok()) goto L_done;                              \
-    a = std::move(out);                                      \
+    const auto* xp = a.PROBE();                              \
+    const auto* yp = b.PROBE();                              \
+    if (xp != nullptr && yp != nullptr) {                    \
+      const auto x = *xp;                                    \
+      const auto y = *yp;                                    \
+      a = FAST_EXPR;                                         \
+    } else {                                                 \
+      MANIMAL_VM_APPLY_OP(OPCODE, 2)                         \
+    }                                                        \
     b = Value();                                             \
     --sp;                                                    \
     ++ip;                                                    \
     continue;                                                \
   }
 
-      MANIMAL_VM_ARITH_SLOW(kDiv, Opcode::kDiv)
-      MANIMAL_VM_ARITH_SLOW(kMod, Opcode::kMod)
-#undef MANIMAL_VM_ARITH_SLOW
+      // i64 arithmetic wraps two's-complement (via unsigned), as
+      // ApplyOp defines it. Division takes ApplyOp for its zero and
+      // INT64_MIN / -1 cases.
+      MANIMAL_VM_BINARY(kAdd, Opcode::kAdd, if_i64,
+                        Value::I64(static_cast<int64_t>(
+                            static_cast<uint64_t>(x) +
+                            static_cast<uint64_t>(y))))
+      MANIMAL_VM_BINARY(kSub, Opcode::kSub, if_i64,
+                        Value::I64(static_cast<int64_t>(
+                            static_cast<uint64_t>(x) -
+                            static_cast<uint64_t>(y))))
+      MANIMAL_VM_BINARY(kMul, Opcode::kMul, if_i64,
+                        Value::I64(static_cast<int64_t>(
+                            static_cast<uint64_t>(x) *
+                            static_cast<uint64_t>(y))))
+      MANIMAL_VM_BINARY(kCmpLt, Opcode::kCmpLt, if_i64, Value::Bool(x < y))
+      MANIMAL_VM_BINARY(kCmpLe, Opcode::kCmpLe, if_i64, Value::Bool(x <= y))
+      MANIMAL_VM_BINARY(kCmpGt, Opcode::kCmpGt, if_i64, Value::Bool(x > y))
+      MANIMAL_VM_BINARY(kCmpGe, Opcode::kCmpGe, if_i64, Value::Bool(x >= y))
+      MANIMAL_VM_BINARY(kCmpEq, Opcode::kCmpEq, if_i64, Value::Bool(x == y))
+      MANIMAL_VM_BINARY(kCmpNe, Opcode::kCmpNe, if_i64, Value::Bool(x != y))
+      MANIMAL_VM_BINARY(kAnd, Opcode::kAnd, if_bool, Value::Bool(x && y))
+      MANIMAL_VM_BINARY(kOr, Opcode::kOr, if_bool, Value::Bool(x || y))
+#undef MANIMAL_VM_BINARY
+
+      case LOp::kDiv:
+        MANIMAL_VM_APPLY_OP(Opcode::kDiv, 2)
+        stack[--sp] = Value();
+        ++ip;
+        continue;
+      case LOp::kMod:
+        MANIMAL_VM_APPLY_OP(Opcode::kMod, 2)
+        stack[--sp] = Value();
+        ++ip;
+        continue;
 
       case LOp::kNeg: {
         Value& a = stack[sp - 1];
         if (const int64_t* x = a.if_i64()) {
-          a = Value::I64(-*x);
+          a = Value::I64(static_cast<int64_t>(0 - static_cast<uint64_t>(*x)));
         } else if (const double* d = a.if_f64()) {
           a = Value::F64(-*d);
         } else {
-          ret = TypeError("neg", a);
-          goto L_done;
+          MANIMAL_VM_APPLY_OP(Opcode::kNeg, 1)
         }
-        ++ip;
-        continue;
-      }
-
-#define MANIMAL_VM_CMP(LOPNAME, OPCODE, I64_EXPR)  \
-  case LOp::LOPNAME: {                             \
-    Value& a = stack[sp - 2];                      \
-    Value& b = stack[sp - 1];                      \
-    bool cond;                                     \
-    const int64_t* xp = a.if_i64();                \
-    const int64_t* yp = b.if_i64();                \
-    if (xp != nullptr && yp != nullptr) {          \
-      const int64_t x = *xp;                       \
-      const int64_t y = *yp;                       \
-      cond = (I64_EXPR);                           \
-    } else {                                       \
-      ret = CompareSlow(OPCODE, a, b, &cond);      \
-      if (!ret.ok()) goto L_done;                  \
-    }                                              \
-    a = Value::Bool(cond);                         \
-    b = Value();                                   \
-    --sp;                                          \
-    ++ip;                                          \
-    continue;                                      \
-  }
-
-      MANIMAL_VM_CMP(kCmpLt, Opcode::kCmpLt, x < y)
-      MANIMAL_VM_CMP(kCmpLe, Opcode::kCmpLe, x <= y)
-      MANIMAL_VM_CMP(kCmpGt, Opcode::kCmpGt, x > y)
-      MANIMAL_VM_CMP(kCmpGe, Opcode::kCmpGe, x >= y)
-      MANIMAL_VM_CMP(kCmpEq, Opcode::kCmpEq, x == y)
-      MANIMAL_VM_CMP(kCmpNe, Opcode::kCmpNe, x != y)
-#undef MANIMAL_VM_CMP
-
-      case LOp::kAnd: {
-        Value& a = stack[sp - 2];
-        Value& b = stack[sp - 1];
-        const bool* x = a.if_bool();
-        const bool* y = b.if_bool();
-        if (x == nullptr || y == nullptr) {
-          ret = TypeError2("and/or", a, b);
-          goto L_done;
-        }
-        a = Value::Bool(*x && *y);
-        b = Value();
-        --sp;
-        ++ip;
-        continue;
-      }
-      case LOp::kOr: {
-        Value& a = stack[sp - 2];
-        Value& b = stack[sp - 1];
-        const bool* x = a.if_bool();
-        const bool* y = b.if_bool();
-        if (x == nullptr || y == nullptr) {
-          ret = TypeError2("and/or", a, b);
-          goto L_done;
-        }
-        a = Value::Bool(*x || *y);
-        b = Value();
-        --sp;
         ++ip;
         continue;
       }
       case LOp::kNot: {
         Value& a = stack[sp - 1];
-        const bool* x = a.if_bool();
-        if (x == nullptr) {
-          ret = TypeError("not", a);
-          goto L_done;
+        if (const bool* x = a.if_bool()) {
+          a = Value::Bool(!*x);
+        } else {
+          MANIMAL_VM_APPLY_OP(Opcode::kNot, 1)
         }
-        a = Value::Bool(!*x);
         ++ip;
         continue;
       }
+#undef MANIMAL_VM_APPLY_OP
 
       case LOp::kJmp:
         ip = code + ip->a;
@@ -562,26 +410,28 @@ Status VmInstance::Run(const LinkedFunction& lf, const Value* const* params) {
         continue;
       }
 
-#define MANIMAL_VM_CMPBR(LOPNAME, OPCODE, I64_EXPR)        \
-  case LOp::LOPNAME: {                                     \
-    Value& a = stack[sp - 2];                              \
-    Value& b = stack[sp - 1];                              \
-    bool cond;                                             \
-    const int64_t* xp = a.if_i64();                        \
-    const int64_t* yp = b.if_i64();                        \
-    if (xp != nullptr && yp != nullptr) {                  \
-      const int64_t x = *xp;                               \
-      const int64_t y = *yp;                               \
-      cond = (I64_EXPR);                                   \
-    } else {                                               \
-      ret = CompareSlow(OPCODE, a, b, &cond);              \
-      if (!ret.ok()) goto L_done;                          \
-    }                                                      \
-    a = Value();                                           \
-    b = Value();                                           \
-    sp -= 2;                                               \
-    ip = (cond == (ip->b != 0)) ? code + ip->a : ip + 1;   \
-    continue;                                              \
+#define MANIMAL_VM_CMPBR(LOPNAME, OPCODE, I64_EXPR)          \
+  case LOp::LOPNAME: {                                       \
+    Value& a = stack[sp - 2];                                \
+    Value& b = stack[sp - 1];                                \
+    bool cond;                                               \
+    const int64_t* xp = a.if_i64();                          \
+    const int64_t* yp = b.if_i64();                          \
+    if (xp != nullptr && yp != nullptr) {                    \
+      const int64_t x = *xp;                                 \
+      const int64_t y = *yp;                                 \
+      cond = (I64_EXPR);                                     \
+    } else {                                                 \
+      Value out;                                             \
+      ret = ApplyOp(OPCODE, &a, &out, &arena_);              \
+      if (!ret.ok()) goto L_done;                            \
+      cond = out.bool_value();                               \
+    }                                                        \
+    a = Value();                                             \
+    b = Value();                                             \
+    sp -= 2;                                                 \
+    ip = (cond == (ip->b != 0)) ? code + ip->a : ip + 1;     \
+    continue;                                                \
   }
 
       MANIMAL_VM_CMPBR(kCmpLtBr, Opcode::kCmpLt, x < y)

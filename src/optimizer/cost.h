@@ -51,13 +51,9 @@ struct CandidateCost {
   std::vector<std::pair<std::string, double>> interval_selectivity;
 };
 
-// Sorts selection intervals by lower bound, drops empty ones, and
-// merges overlapping or adjacent ones, so that summing per-interval
-// fractions never counts a key range twice (un-simplified DNF can
-// produce overlapping intervals; the analyzer usually pre-merges, but
-// correctness must not depend on it).
-std::vector<analyzer::KeyInterval> CanonicalizeIntervals(
-    std::vector<analyzer::KeyInterval> intervals);
+// Intervals from outside the analyzer (App. A reports) are
+// canonicalized again before they are priced or scanned.
+using analyzer::CanonicalizeIntervals;
 
 // Estimated matching fraction of `intervals` (canonicalized
 // internally). Uses `column` histograms when usable, else the tree's

@@ -22,6 +22,20 @@ bool FieldTypeIsNumeric(FieldType t) {
   return t == FieldType::kI64 || t == FieldType::kF64;
 }
 
+ValueKind FieldValueKind(FieldType t) {
+  switch (t) {
+    case FieldType::kI64:
+      return ValueKind::kI64;
+    case FieldType::kF64:
+      return ValueKind::kF64;
+    case FieldType::kStr:
+      return ValueKind::kStr;
+    case FieldType::kBool:
+      return ValueKind::kBool;
+  }
+  return ValueKind::kNull;
+}
+
 std::optional<int> Schema::FieldIndex(std::string_view name) const {
   for (size_t i = 0; i < fields_.size(); ++i) {
     if (fields_[i].name == name) return static_cast<int>(i);

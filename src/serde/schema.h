@@ -33,6 +33,8 @@ enum class FieldType : uint8_t {
 
 const char* FieldTypeName(FieldType t);
 bool FieldTypeIsNumeric(FieldType t);
+// The Value kind a field of type `t` holds.
+ValueKind FieldValueKind(FieldType t);
 
 struct Field {
   std::string name;

@@ -175,10 +175,107 @@ class DifferentialHarness : public ::testing::Test {
     }
   }
 
+  // For a program the conventional run rejects: every plan (plan 0
+  // and one per synthesized artifact) must fail with the baseline's
+  // status code, never succeed by skipping the records the VM raises
+  // on. Returns the synthesized specs.
+  std::vector<analyzer::IndexGenProgram> ExpectEveryPlanFailsLikeBaseline(
+      const mril::Program& program, const std::string& tag,
+      const TempDir& scratch) {
+    EXPECT_OK(mril::VerifyProgram(program));
+    core::ManimalSystem::Submission job;
+    job.program = program;
+    job.input_path = input_path();
+    job.output_path = scratch.file(tag + "-baseline.prs");
+    auto baseline_system = core::ManimalSystem::Open(
+        SystemOptions(scratch.file(tag + "-ws-baseline")));
+    EXPECT_OK(baseline_system.status());
+    if (!baseline_system.ok()) return {};
+    const Status baseline = (*baseline_system)->RunBaseline(job).status();
+    EXPECT_FALSE(baseline.ok()) << "the conventional run must reject it";
+
+    auto report = analyzer::Analyze(program);
+    EXPECT_OK(report.status());
+    if (!report.ok()) return {};
+    std::vector<analyzer::IndexGenProgram> specs =
+        analyzer::SynthesizeIndexPrograms(program, *report);
+    for (size_t plan = 0; plan <= specs.size(); ++plan) {
+      SCOPED_TRACE("plan " + std::to_string(plan) + " of " +
+                   std::to_string(specs.size()));
+      const std::string plan_tag = tag + "-p" + std::to_string(plan);
+      auto system = core::ManimalSystem::Open(
+          SystemOptions(scratch.file(plan_tag + "-ws")));
+      EXPECT_OK(system.status());
+      if (!system.ok()) continue;
+      if (plan > 0) {
+        EXPECT_OK(
+            (*system)->BuildIndex(specs[plan - 1], input_path()).status());
+      }
+      job.output_path = scratch.file(plan_tag + ".prs");
+      auto outcome = (*system)->Submit(job);
+      EXPECT_FALSE(outcome.ok())
+          << "plan '" << outcome->plan.explanation << "' returned OK with "
+          << outcome->job.counters.map_output_records
+          << " output records; " << outcome->job.counters.blocks_skipped
+          << " blocks skipped";
+      if (!outcome.ok()) {
+        EXPECT_EQ(outcome.status().code(), baseline.code())
+            << outcome.status().ToString() << " vs baseline "
+            << baseline.ToString();
+      }
+    }
+    return specs;
+  }
+
   static TempDir* dir_;
 };
 
 TempDir* DifferentialHarness::dir_ = nullptr;
+
+// map: if (rank < "abc") if (rank >= <past every rank>) emit(...). The
+// first comparison raises in the VM on every record (i64 vs str), so
+// the conventional run fails. The second refutes every block's skip
+// frame and every B+Tree key; neither may be used to skip records
+// ahead of the first. `emit_content` reads every field, which leaves
+// a B+Tree as the only artifact a broken analyzer would offer.
+mril::Program IncomparableRankGuard(bool emit_content) {
+  mril::ProgramBuilder b("incomparable-rank-guard");
+  b.SetValueSchema(workloads::WebPagesSchema());
+  mril::FunctionBuilder& m = b.Map();
+  m.LoadParam(1).GetField("rank").LoadStr("abc").CmpLt();
+  m.JmpIfFalse("end");
+  m.LoadParam(1).GetField("rank").LoadI64(kRankRange).CmpGe();
+  m.JmpIfFalse("end");
+  m.LoadParam(1).GetField("url");
+  m.LoadParam(1).GetField(emit_content ? "content" : "rank");
+  m.Emit();
+  m.Label("end").Ret();
+  return b.Build();
+}
+
+TEST_F(DifferentialHarness, IncomparableTermSkipsNoBlockOfProjection) {
+  TempDir scratch("diff-incomparable-skip");
+  std::vector<analyzer::IndexGenProgram> specs =
+      ExpectEveryPlanFailsLikeBaseline(
+          IncomparableRankGuard(/*emit_content=*/false), "skip", scratch);
+  bool projected = false;
+  for (const analyzer::IndexGenProgram& spec : specs) {
+    EXPECT_FALSE(spec.btree) << spec.Describe();
+    projected |= spec.projection;
+  }
+  EXPECT_TRUE(projected) << "no projection artifact: the skip-frame "
+                            "plan was never tried";
+}
+
+TEST_F(DifferentialHarness, IncomparableTermDerivesNoBTreeRange) {
+  TempDir scratch("diff-incomparable-btree");
+  for (const analyzer::IndexGenProgram& spec :
+       ExpectEveryPlanFailsLikeBaseline(
+           IncomparableRankGuard(/*emit_content=*/true), "btree",
+           scratch)) {
+    EXPECT_FALSE(spec.btree) << spec.Describe();
+  }
+}
 
 TEST_F(DifferentialHarness, PlansMatchBaseline) {
   TempDir scratch("diff-plain");

@@ -169,6 +169,55 @@ TEST(ReduceFilterTest, EndToEndPrunesShuffleAndPreservesOutput) {
   EXPECT_GT(a.size(), 0u);
 }
 
+// The filter's literal is evaluated outside the VM, so it must raise
+// where the reduce raises. Here the map keys by url (str) and the
+// reduce orders the key against an i64: RunBaseline fails, and Submit
+// must fail the same way instead of ranking str above i64 and quietly
+// dropping every pair.
+TEST(ReduceFilterTest, IncomparableKeyFailsLikeBaseline) {
+  TempDir dir("reduce-filter-kind");
+  workloads::WebPagesOptions gen;
+  gen.num_pages = 200;
+  ASSERT_OK(
+      workloads::GenerateWebPages(dir.file("pages.msq"), gen).status());
+
+  ProgramBuilder b("url-where-key-below-5");
+  b.SetValueSchema(workloads::WebPagesSchema());
+  b.Map().LoadParam(1).GetField("url").LoadParam(1).GetField("rank")
+      .Emit().Ret();
+  auto& r = b.Reduce();
+  r.LoadParam(0).LoadI64(5).CmpLt().JmpIfFalse("end");
+  r.LoadParam(0).LoadI64(1).Emit();
+  r.Label("end").Ret();
+
+  core::ManimalSystem::Options options;
+  options.workspace_dir = dir.file("ws");
+  options.simulated_startup_seconds = 0;
+  options.retry_backoff_ms = 0;
+  ASSERT_OK_AND_ASSIGN(auto system, core::ManimalSystem::Open(options));
+  core::ManimalSystem::Submission job;
+  job.program = b.Build();
+  job.input_path = dir.file("pages.msq");
+
+  job.output_path = dir.file("base.prs");
+  const Status baseline = system->RunBaseline(job).status();
+  ASSERT_FALSE(baseline.ok());
+  EXPECT_EQ(baseline.code(), StatusCode::kInvalidArgument)
+      << baseline.ToString();
+
+  job.output_path = dir.file("opt.prs");
+  auto outcome = system->Submit(job);
+  ASSERT_FALSE(outcome.ok())
+      << "Submit returned OK: "
+      << outcome->job.counters.map_output_records << " output records, "
+      << outcome->job.counters.map_output_filtered << " pairs filtered";
+  EXPECT_EQ(outcome.status().code(), baseline.code())
+      << outcome.status().ToString();
+  ASSERT_OK_AND_ASSIGN(AnalysisReport report, Analyze(job.program));
+  EXPECT_TRUE(report.reduce_filter.has_value())
+      << "no filter: the literal was never evaluated outside the VM";
+}
+
 // ---------------- safe mode ----------------
 
 TEST(SafeModeTest, LoggingMapLosesSelection) {

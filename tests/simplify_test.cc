@@ -73,6 +73,20 @@ TEST(SimplifyTest, DivisionByZeroIsLeftToRuntime) {
   EXPECT_EQ(s->kind, Expr::Kind::kOp);  // not folded, not crashed
 }
 
+TEST(SimplifyTest, IncomparableOrderingIsLeftToRuntime) {
+  // The VM raises on "a" < 5; folding it to false would hide that.
+  ExprRef lt = Simplify(Expr::MakeOp(
+      Opcode::kCmpLt, {Expr::MakeConst(Value::Str("a"), 0), I64Const(5)},
+      1));
+  EXPECT_EQ(lt->kind, Expr::Kind::kOp) << lt->ToString();
+  // Equality is total across kinds and still folds.
+  ExprRef eq = Simplify(Expr::MakeOp(
+      Opcode::kCmpEq, {Expr::MakeConst(Value::Str("a"), 0), I64Const(5)},
+      1));
+  ASSERT_EQ(eq->kind, Expr::Kind::kConst) << eq->ToString();
+  EXPECT_FALSE(eq->constant.bool_value());
+}
+
 TEST(SimplifyTest, EliminatesDoubleNegation) {
   ExprRef cmp =
       Expr::MakeOp(Opcode::kCmpGt, {RankField(), I64Const(5)}, 0);
@@ -272,6 +286,45 @@ TEST(ShiftedIndexTest, ConstantFoldedGuardDetects) {
   ASSERT_TRUE(r.descriptor.has_value());
   ASSERT_TRUE(r.descriptor->indexable());
   EXPECT_EQ(r.descriptor->intervals[0].lo->i64(), 42);
+}
+
+// An ordered comparison the VM cannot evaluate raises on every record
+// that reaches it, so no range may be derived from it: each ordered
+// bound must order with the base's static kind when that is known,
+// and with every other ordered bound. Equality is total.
+TEST(ShiftedIndexTest, IncomparableOrderedBoundsDeriveNoRange) {
+  ProgramBuilder b("bounds");
+  b.SetValueSchema(workloads::WebPagesSchema());
+  b.Map().Ret();
+  const mril::Program program = b.Build();
+  auto term = [](Opcode op, ExprRef base, Value bound) {
+    return SelectTerm{
+        Expr::MakeOp(op, {std::move(base), Expr::MakeConst(bound, 2)}, 3)};
+  };
+  auto derives = [&](std::vector<SelectTerm> terms) {
+    DnfFormula formula;
+    formula.disjuncts.push_back(Conjunct{std::move(terms)});
+    ExprRef indexed;
+    std::vector<KeyInterval> intervals;
+    return DeriveIndexRanges(program, formula, &indexed, &intervals);
+  };
+  // rank is i64.
+  EXPECT_FALSE(derives({term(Opcode::kCmpLt, RankField(), Value::Str("a"))}));
+  EXPECT_FALSE(derives({term(Opcode::kCmpGe, RankField(), Value::Null())}));
+  EXPECT_TRUE(derives({term(Opcode::kCmpLt, RankField(), Value::F64(2.5))}));
+  EXPECT_TRUE(derives({term(Opcode::kCmpEq, RankField(), Value::Str("a"))}));
+  // url + "x" has no static kind here; its bounds must agree.
+  ExprRef url_x = Expr::MakeOp(
+      Opcode::kAdd,
+      {Expr::MakeField(Expr::MakeParam(1, 0), 0, 1),
+       Expr::MakeConst(Value::Str("x"), 2)},
+      3);
+  EXPECT_FALSE(derives({term(Opcode::kCmpLt, url_x, Value::Str("m")),
+                        term(Opcode::kCmpGe, url_x, Value::I64(5))}));
+  EXPECT_TRUE(derives({term(Opcode::kCmpLt, url_x, Value::Str("m")),
+                       term(Opcode::kCmpGe, url_x, Value::Str("b"))}));
+  EXPECT_TRUE(derives({term(Opcode::kCmpLt, url_x, Value::Str("m")),
+                       term(Opcode::kCmpNe, url_x, Value::I64(5))}));
 }
 
 // End-to-end: a shifted selection through the full system, outputs

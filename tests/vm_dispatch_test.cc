@@ -3,7 +3,9 @@
 // native codegen kernel (with per-record VM replay on bailout, the
 // engine's contract) must produce byte-identical traces to the VM on
 // the corpus and on a seeded fuzz corpus; a VM run must not depend on
-// whether record strings are borrowed or owned; Value's three string
+// whether record strings are borrowed or owned; every MRIL operator
+// must mean the same in the VM, the native kernel and the analyzer's
+// evaluator over a grid of edge-case operands; Value's three string
 // storage classes (inline, owned, borrowed) must be interchangeable
 // wherever kind() == kStr; and the str.word_at sequential-scan memo
 // must survive buffer reuse.
@@ -11,13 +13,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "analyzer/analyzer.h"
+#include "analyzer/expr_eval.h"
 #include "codegen/kernel.h"
 #include "codegen/shape.h"
 #include "common/env.h"
@@ -38,6 +45,7 @@
 namespace manimal {
 namespace {
 
+using mril::Opcode;
 using mril::VmInstance;
 using mril::VmOptions;
 
@@ -248,6 +256,266 @@ TEST_P(ThreeWayFuzz, ProvableGeneratedProgramsAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ThreeWayFuzz, ::testing::Range(1, 5));
+
+// ---------------------------------------------------------------
+// Operator semantics. mril::ApplyOp defines every operator once; the
+// VM (inline fast paths included), the closure kernel and the
+// analyzer's evaluator must agree on each of them: the same kind and
+// value, or all three raise.
+
+constexpr int64_t kI64Min = std::numeric_limits<int64_t>::min();
+constexpr int64_t kI64Max = std::numeric_limits<int64_t>::max();
+
+std::vector<Value> OperandGrid() {
+  return {Value::Null(),
+          Value::Bool(true),
+          Value::Bool(false),
+          Value::I64(0),
+          Value::I64(1),
+          Value::I64(-1),
+          Value::I64(kI64Min),
+          Value::I64(kI64Max),
+          Value::F64(2.5),
+          Value::F64(-0.0),
+          Value::F64(std::numeric_limits<double>::quiet_NaN()),
+          Value::Str(""),
+          Value::Str("a"),
+          Value::Str(std::string(kInlineStrCap + 1, 's'))};
+}
+
+// Same kind and value. Doubles compare bit for bit (so -0.0 is not
+// 0.0), except that every NaN equals every NaN.
+bool SameValue(const Value& a, const Value& b) {
+  if (a.kind() != b.kind()) return false;
+  if (a.is_f64()) {
+    const double x = a.f64(), y = b.f64();
+    if (std::isnan(x) || std::isnan(y)) return std::isnan(x) && std::isnan(y);
+    return std::memcmp(&x, &y, sizeof x) == 0;
+  }
+  return a.Compare(b) == 0;
+}
+
+// map(key, {f0, f1}): emit(key, f0 OP f1), or emit(key, OP f0) for a
+// unary operator. With `branch`, the comparison instead feeds a
+// conditional jump (which the link step fuses into one compare-and-
+// branch superinstruction) and the map emits the outcome as a bool.
+// The records fed to it carry every kind, whatever the schema says:
+// no evaluator may trust declared types for an operator's result.
+Result<mril::Program> OperatorProgram(Opcode op, bool branch) {
+  const std::string mnemonic(mril::GetOpcodeInfo(op).mnemonic);
+  const bool unary = mril::GetOpcodeInfo(op).pops == 1;
+  std::string text = ".program " + mnemonic +
+                     "\n.key_type i64\n.value_schema f0:i64,f1:i64\n"
+                     ".func map locals=0\n";
+  if (!branch) text += "  load_param 0\n";
+  text += "  load_param 1\n  get_field f0\n";
+  if (!unary) text += "  load_param 1\n  get_field f1\n";
+  text += "  " + mnemonic + "\n";
+  if (branch) {
+    text +=
+        "  jmp_if_false no\n"
+        "  load_param 0\n  load_const bool:true\n  emit\n  return\n"
+        "no:\n"
+        "  load_param 0\n  load_const bool:false\n  emit\n";
+  } else {
+    text += "  emit\n";
+  }
+  text += "  return\n.endfunc\n";
+  return mril::AssembleProgram(text);
+}
+
+// Runs `op` over every operand tuple (pairs for a binary operator)
+// through each evaluator and checks they agree.
+void ExpectEvaluatorsAgree(Opcode op) {
+  SCOPED_TRACE(std::string(mril::GetOpcodeInfo(op).mnemonic));
+  const bool unary = mril::GetOpcodeInfo(op).pops == 1;
+  const std::vector<Value> grid = OperandGrid();
+
+  ASSERT_OK_AND_ASSIGN(mril::Program program,
+                       OperatorProgram(op, /*branch=*/false));
+  ASSERT_OK(mril::VerifyProgram(program));
+  VmInstance vm(&program);
+  Value vm_emitted;
+  vm.set_emit_sink([&](const Value&, const Value& v) {
+    vm_emitted = v;
+    return Status::OK();
+  });
+
+  std::optional<mril::Program> branch_program;
+  std::unique_ptr<VmInstance> branch_vm;
+  Value branch_emitted;
+  if (mril::IsComparison(op)) {
+    ASSERT_OK_AND_ASSIGN(branch_program,
+                         OperatorProgram(op, /*branch=*/true));
+    ASSERT_OK(mril::VerifyProgram(*branch_program));
+    branch_vm = std::make_unique<VmInstance>(&*branch_program);
+    // One pair more is fused: the comparison into its jump.
+    ASSERT_EQ(branch_vm->linked().map_fn.num_fused,
+              vm.linked().map_fn.num_fused + 1);
+    branch_vm->set_emit_sink([&](const Value&, const Value& v) {
+      branch_emitted = v;
+      return Status::OK();
+    });
+  }
+
+  ASSERT_OK_AND_ASSIGN(auto kernel, codegen::CompileKernel(
+                                        program, codegen::CompileOptions{}));
+  codegen::KernelScratch scratch;
+
+  for (const Value& a : grid) {
+    for (const Value& b : unary ? std::vector<Value>{Value()} : grid) {
+      SCOPED_TRACE(unary ? a.ToString()
+                         : a.ToString() + ", " + b.ToString());
+      const Value key = Value::I64(0);
+      const Value record = Value::List({a, b});
+
+      vm_emitted = Value();
+      const Status vm_status = vm.InvokeMap(key, record);
+
+      std::vector<analysis::ExprRef> args = {
+          analysis::Expr::MakeConst(a, -1)};
+      if (!unary) args.push_back(analysis::Expr::MakeConst(b, -1));
+      Result<Value> evaluated = analyzer::EvalExpr(
+          analysis::Expr::MakeOp(op, std::move(args), -1), Value(),
+          Value());
+      EXPECT_EQ(evaluated.status().ToString(), vm_status.ToString());
+
+      Value kernel_key, kernel_value;
+      const codegen::KernelOutcome outcome = kernel->Run(
+          key, record, &scratch, &kernel_key, &kernel_value);
+      // The kernel bails exactly where the VM raises.
+      EXPECT_EQ(outcome, vm_status.ok() ? codegen::KernelOutcome::kEmit
+                                        : codegen::KernelOutcome::kBailout);
+
+      if (branch_vm != nullptr) {
+        branch_emitted = Value();
+        EXPECT_EQ(branch_vm->InvokeMap(key, record).ToString(),
+                  vm_status.ToString());
+        if (vm_status.ok()) {
+          EXPECT_TRUE(SameValue(branch_emitted, vm_emitted))
+              << branch_emitted.ToString();
+        }
+      }
+      if (!vm_status.ok()) continue;
+      if (evaluated.ok()) {
+        EXPECT_TRUE(SameValue(*evaluated, vm_emitted))
+            << evaluated->ToString() << " vs vm " << vm_emitted.ToString();
+      }
+      if (outcome == codegen::KernelOutcome::kEmit) {
+        EXPECT_TRUE(SameValue(kernel_value, vm_emitted))
+            << kernel_value.ToString() << " vs vm " << vm_emitted.ToString();
+      }
+    }
+  }
+}
+
+TEST(OpSemantics, ArithmeticAgreesAcrossEvaluators) {
+  for (Opcode op : {Opcode::kAdd, Opcode::kSub, Opcode::kMul,
+                    Opcode::kDiv, Opcode::kMod}) {
+    ExpectEvaluatorsAgree(op);
+  }
+}
+
+TEST(OpSemantics, ComparisonsAgreeAcrossEvaluators) {
+  for (Opcode op : {Opcode::kCmpLt, Opcode::kCmpLe, Opcode::kCmpGt,
+                    Opcode::kCmpGe, Opcode::kCmpEq, Opcode::kCmpNe}) {
+    ExpectEvaluatorsAgree(op);
+  }
+}
+
+TEST(OpSemantics, LogicAgreesAcrossEvaluators) {
+  for (Opcode op : {Opcode::kAnd, Opcode::kOr}) ExpectEvaluatorsAgree(op);
+}
+
+TEST(OpSemantics, UnaryOperatorsAgreeAcrossEvaluators) {
+  for (Opcode op : {Opcode::kNeg, Opcode::kNot}) ExpectEvaluatorsAgree(op);
+}
+
+// The i64 edge cases are defined as the JVM defines them:
+// INT64_MIN / -1 == INT64_MIN (what mul by -1 gives), INT64_MIN % -1
+// == 0, and neg INT64_MIN == INT64_MIN. Each is checked in the VM and
+// the closure kernel on a WebPages record whose rank is INT64_MIN,
+// and in Analyze, whose simplifier folds `INT64_MIN OP -1` in a
+// branch condition through the analyzer's evaluator.
+void ExpectI64EdgeCase(Opcode op, int64_t want) {
+  const std::string mnemonic(mril::GetOpcodeInfo(op).mnemonic);
+  const std::string operand =
+      mril::GetOpcodeInfo(op).pops == 2 ? "  load_const i64:-1\n" : "";
+  const std::string header =
+      ".program rank-edge\n.key_type i64\n"
+      ".value_schema url:str,rank:i64,content:str\n"
+      ".func map locals=0\n";
+  // map: emit(url, rank OP -1), or emit(url, OP rank).
+  ASSERT_OK_AND_ASSIGN(
+      mril::Program program,
+      mril::AssembleProgram(header +
+                            "  load_param 1\n  get_field url\n"
+                            "  load_param 1\n  get_field rank\n" +
+                            operand + "  " + mnemonic +
+                            "\n  emit\n  return\n.endfunc\n"));
+  ASSERT_OK(mril::VerifyProgram(program));
+  const Value record = Value::List(
+      {Value::Str("http://edge.example.com/"), Value::I64(kI64Min),
+       Value::Str("content")});
+
+  VmInstance vm(&program);
+  Value emitted;
+  vm.set_emit_sink([&](const Value&, const Value& v) {
+    emitted = v;
+    return Status::OK();
+  });
+  ASSERT_OK(vm.InvokeMap(Value::I64(0), record));
+  ASSERT_TRUE(emitted.is_i64()) << emitted.ToString();
+  EXPECT_EQ(emitted.i64(), want);
+
+  ASSERT_OK_AND_ASSIGN(auto kernel, codegen::CompileKernel(
+                                        program, codegen::CompileOptions{}));
+  codegen::KernelScratch scratch;
+  Value out_key, out_value;
+  ASSERT_EQ(kernel->Run(Value::I64(0), record, &scratch, &out_key,
+                        &out_value),
+            codegen::KernelOutcome::kEmit);
+  ASSERT_TRUE(out_value.is_i64()) << out_value.ToString();
+  EXPECT_EQ(out_value.i64(), want);
+
+  // map: if (rank > (INT64_MIN OP -1)) emit(url, rank). The simplifier
+  // folds the constant operand through the analyzer's evaluator.
+  ASSERT_OK_AND_ASSIGN(
+      mril::Program guarded,
+      mril::AssembleProgram(
+          header + "  load_param 1\n  get_field rank\n" +
+          StrPrintf("  load_const i64:%lld\n",
+                    static_cast<long long>(kI64Min)) +
+          operand + "  " + mnemonic +
+          "\n  cmp_gt\n  jmp_if_false end\n"
+          "  load_param 1\n  get_field url\n"
+          "  load_param 1\n  get_field rank\n  emit\n"
+          "end:\n  return\n.endfunc\n"));
+  ASSERT_OK_AND_ASSIGN(analyzer::AnalysisReport report,
+                       analyzer::Analyze(guarded));
+  ASSERT_TRUE(report.selection.has_value());
+  const analyzer::DnfFormula& formula = report.selection->formula;
+  ASSERT_EQ(formula.disjuncts.size(), 1u) << formula.ToString();
+  ASSERT_EQ(formula.disjuncts[0].terms.size(), 1u) << formula.ToString();
+  const analysis::ExprRef& term = formula.disjuncts[0].terms[0].expr;
+  ASSERT_EQ(term->args.size(), 2u) << term->ToString();
+  ASSERT_EQ(term->args[1]->kind, analysis::Expr::Kind::kConst)
+      << term->ToString();
+  EXPECT_TRUE(SameValue(term->args[1]->constant, Value::I64(want)))
+      << term->ToString();
+}
+
+TEST(OpSemantics, I64MinDivMinusOneIsI64Min) {
+  ExpectI64EdgeCase(Opcode::kDiv, kI64Min);
+}
+
+TEST(OpSemantics, I64MinModMinusOneIsZero) {
+  ExpectI64EdgeCase(Opcode::kMod, 0);
+}
+
+TEST(OpSemantics, NegI64MinIsI64Min) {
+  ExpectI64EdgeCase(Opcode::kNeg, kI64Min);
+}
 
 // ---------------------------------------------------------------
 // Value storage classes.
