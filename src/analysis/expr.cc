@@ -134,6 +134,16 @@ ExprRef Expr::MakeUnknown(int pc) {
   return e;
 }
 
+int ValueFieldIndex(const ExprRef& expr) {
+  if (expr == nullptr || expr->kind != Expr::Kind::kField ||
+      expr->index < 0 || expr->args.empty() || expr->args[0] == nullptr ||
+      expr->args[0]->kind != Expr::Kind::kParam ||
+      expr->args[0]->index != 1) {
+    return -1;
+  }
+  return expr->index;
+}
+
 bool CollectUsedFields(const ExprRef& expr, std::vector<bool>* used) {
   if (expr == nullptr) return false;
   switch (expr->kind) {

@@ -71,6 +71,10 @@ struct Expr {
 // in which case *every* field must be treated as used.
 bool CollectUsedFields(const ExprRef& expr, std::vector<bool>* used);
 
+// The field index `i` when `expr` is exactly field `i` of the map
+// value parameter (param 1), else -1.
+int ValueFieldIndex(const ExprRef& expr);
+
 // isFunc (paper §3.2): true iff the value is a pure function of the
 // function's parameters and constants — no member variables, no
 // unknown resolutions, no calls to builtins the analyzer lacks purity

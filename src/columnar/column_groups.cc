@@ -80,7 +80,8 @@ Result<std::unique_ptr<ColumnGroupWriter>> ColumnGroupWriter::Create(
     std::string path = SiblingName(manifest_path, static_cast<int>(g));
     MANIMAL_ASSIGN_OR_RETURN(
         std::unique_ptr<SeqFileWriter> sibling,
-        SeqFileWriter::Create(path, std::move(meta), options));
+        SeqFileWriter::Create(path + ".inprogress", std::move(meta),
+                              options));
     writer->writers_.push_back(std::move(sibling));
     writer->sibling_paths_.push_back(std::move(path));
   }
@@ -109,6 +110,12 @@ Result<uint64_t> ColumnGroupWriter::Finish() {
     sizes.push_back(bytes);
     total += bytes;
   }
+  // The manifest commits last. Until then a reader opens the previous
+  // one, whose siblings are untouched or complete files written from
+  // the same input (an entry of a rewritten input is stale anyway).
+  for (const std::string& path : sibling_paths_) {
+    MANIMAL_RETURN_IF_ERROR(RenameFile(path + ".inprogress", path));
+  }
   std::string manifest = "MCGS v1\n";
   manifest += "schema\t" + schema_.ToString() + "\n";
   for (size_t g = 0; g < grouping_.size(); ++g) {
@@ -120,10 +127,11 @@ Result<uint64_t> ColumnGroupWriter::Finish() {
                     .string() +
                 "\t" + std::to_string(sizes[g]) + "\n";
   }
-  MANIMAL_RETURN_IF_ERROR(WriteStringToFile(manifest_path_, manifest));
-  MANIMAL_ASSIGN_OR_RETURN(uint64_t manifest_bytes,
-                           GetFileSize(manifest_path_));
-  return total + manifest_bytes;
+  MANIMAL_RETURN_IF_ERROR(
+      WriteStringToFile(manifest_path_ + ".inprogress", manifest));
+  MANIMAL_RETURN_IF_ERROR(
+      RenameFile(manifest_path_ + ".inprogress", manifest_path_));
+  return total + manifest.size();
 }
 
 // ---------------- reader ----------------

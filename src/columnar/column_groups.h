@@ -53,6 +53,9 @@ class ColumnGroupWriter {
   Status Append(int64_t key, const Record& record);
 
   // Finalizes every sibling and the manifest; returns total bytes.
+  // Files are written under temp names and committed by rename, the
+  // manifest last, so a failed build never truncates or tears the
+  // artifact a previous build left at the same path.
   Result<uint64_t> Finish();
 
   uint64_t num_records() const { return num_records_; }

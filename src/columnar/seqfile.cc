@@ -465,6 +465,19 @@ uint64_t SeqFileReader::BlockRecordCount(uint64_t block) const {
   return next - block_cum_records_[block];
 }
 
+Result<std::string> SeqFileReader::Fingerprint() const {
+  MANIMAL_ASSIGN_OR_RETURN(int64_t mtime, GetFileMtimeNanos(path_));
+  std::string footer;
+  for (uint64_t b = 0; b < num_blocks(); ++b) {
+    PutFixed64(&footer, block_offsets_[b]);
+    PutFixed64(&footer, BlockRecordCount(b));
+  }
+  return StrPrintf("%llu-%lld-%016llx",
+                   static_cast<unsigned long long>(file_size_),
+                   static_cast<long long>(mtime),
+                   static_cast<unsigned long long>(Fnv1a(footer)));
+}
+
 Result<SeqFileReader::RecordStream> SeqFileReader::Scan(
     uint64_t begin_block, uint64_t end_block) const {
   if (begin_block > end_block || end_block > num_blocks()) {

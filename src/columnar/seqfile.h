@@ -200,6 +200,13 @@ class SeqFileReader
   // Records stored in `block` (from the footer's cumulative counts).
   uint64_t BlockRecordCount(uint64_t block) const;
 
+  // Identity of this version of the file: "<size>-<mtime ns>-<digest>",
+  // the digest taken over the footer's block offsets and per-block
+  // record counts. Rewriting the file changes it. Catalog entries and
+  // the input's statistics record it at build time; the optimizer
+  // trusts neither once the input's current value differs.
+  Result<std::string> Fingerprint() const;
+
   // Mean on-disk block body size, from the footer's recorded offsets.
   // The cost model uses this to price locator-resolved block touches
   // against the file as actually written (blocks can be far from the

@@ -1,5 +1,6 @@
 #include "common/env.h"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -189,6 +190,13 @@ Result<uint64_t> GetFileSize(const std::string& path) {
   uint64_t size = fs::file_size(path, ec);
   if (ec) return Status::IOError("file_size " + path + ": " + ec.message());
   return size;
+}
+
+Result<int64_t> GetFileMtimeNanos(const std::string& path) {
+  struct stat st;
+  if (::stat(path.c_str(), &st) != 0) return ErrnoStatus("stat", path);
+  return static_cast<int64_t>(st.st_mtim.tv_sec) * 1000000000 +
+         st.st_mtim.tv_nsec;
 }
 
 bool FileExists(const std::string& path) {

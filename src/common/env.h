@@ -101,6 +101,8 @@ class RandomAccessFile {
 Status WriteStringToFile(const std::string& path, std::string_view data);
 Result<std::string> ReadFileToString(const std::string& path);
 Result<uint64_t> GetFileSize(const std::string& path);
+// Last-modification time in nanoseconds since the epoch.
+Result<int64_t> GetFileMtimeNanos(const std::string& path);
 bool FileExists(const std::string& path);
 Status RemoveFileIfExists(const std::string& path);
 // Atomically replaces `to` with `from` (same filesystem). The commit

@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "common/env.h"
+#include "common/strings.h"
 #include "obs/journal.h"
 
 namespace manimal {
@@ -16,15 +17,6 @@ uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-uint64_t HashPath(const std::string& path) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : path) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
 }
 
 thread_local bool tls_armed = false;
@@ -109,7 +101,7 @@ Status FaultyEnv::Evaluate(FaultOp op, const std::string& path,
   } else if (config_.rate > 0) {
     const uint64_t ordinal = path_ops_[path]++;
     const uint64_t h =
-        Mix64(config_.seed ^ Mix64(HashPath(path)) ^
+        Mix64(config_.seed ^ Mix64(Fnv1a(path)) ^
               Mix64((static_cast<uint64_t>(op) << 32) | ordinal));
     fire = static_cast<double>(h >> 11) * 0x1.0p-53 < config_.rate;
   }

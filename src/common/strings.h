@@ -1,9 +1,11 @@
 // Small string utilities shared across modules (splitting, joining,
-// escaping for the line-based catalog format, printf-style formatting).
+// escaping for the line-based catalog format, printf-style formatting,
+// hashing).
 
 #ifndef MANIMAL_COMMON_STRINGS_H_
 #define MANIMAL_COMMON_STRINGS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,6 +30,17 @@ std::string StrPrintf(const char* fmt, ...)
 
 // Human-readable byte count, e.g. "1.25 MB".
 std::string HumanBytes(uint64_t bytes);
+
+// 64-bit FNV-1a of `s`: a stable, non-cryptographic hash of names and
+// keys. Inline because the statistics pass hashes every key it sees.
+inline uint64_t Fnv1a(std::string_view s) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
 
 }  // namespace manimal
 

@@ -164,10 +164,11 @@ Result<exec::IndexBuildResult> ManimalSystem::BuildIndex(
     const std::string& input_path) {
   const std::string temp_dir = FreshTempDir("indexgen");
   Result<exec::IndexBuildResult> result = exec::BuildIndexArtifact(
-      spec, input_path, options_.workspace_dir + "/artifacts", temp_dir);
+      spec, input_path, options_.workspace_dir + "/artifacts", temp_dir,
+      catalog_->StatsFor(input_path));
   RemoveTempDir(temp_dir);
   MANIMAL_RETURN_IF_ERROR(result.status());
-  MANIMAL_RETURN_IF_ERROR(catalog_->Register(result->entry));
+  MANIMAL_RETURN_IF_ERROR(catalog_->Register(result->entry, result->stats));
   return result;
 }
 

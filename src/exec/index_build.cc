@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "analysis/expr.h"
 #include "analyzer/expr_eval.h"
 #include "columnar/codec/selector.h"
 #include "columnar/column_groups.h"
@@ -23,15 +24,6 @@ namespace manimal::exec {
 
 namespace {
 
-uint64_t Fnv1a(std::string_view s) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
 // Cap on how many leading record fields get per-field statistics.
 constexpr int kMaxStatsFields = 16;
 
@@ -52,7 +44,8 @@ std::vector<int> ToStoredSlots(const std::vector<int>& original_fields,
 
 Result<IndexBuildResult> BuildIndexArtifact(
     const analyzer::IndexGenProgram& spec, const std::string& input_path,
-    const std::string& artifact_dir, const std::string& temp_dir) {
+    const std::string& artifact_dir, const std::string& temp_dir,
+    const stats::TableStats* input_stats) {
   MANIMAL_RETURN_IF_ERROR(CreateDirIfMissing(artifact_dir));
   MANIMAL_RETURN_IF_ERROR(CreateDirIfMissing(temp_dir));
   obs::ScopedSpan build_span("index.build", "index");
@@ -103,8 +96,9 @@ Result<IndexBuildResult> BuildIndexArtifact(
   IndexBuildResult result;
   result.entry.input_file = input_path;
   result.entry.signature = spec.Signature();
-  MANIMAL_ASSIGN_OR_RETURN(result.entry.input_bytes,
-                           GetFileSize(input_path));
+  result.entry.input_bytes = reader->file_size();
+  MANIMAL_ASSIGN_OR_RETURN(result.entry.input_fingerprint,
+                           reader->Fingerprint());
 
   auto project_record = [&](const Record& full) {
     if (input_schema.opaque() || !spec.projection) return full;
@@ -114,43 +108,63 @@ Result<IndexBuildResult> BuildIndexArtifact(
     return out;
   };
 
-  // Per-column statistics (src/stats/) ride along with the build scan:
-  // "field:<i>" columns for leading scalar record fields, plus an
-  // "expr:<key expr>" column fed the B+Tree's already-encoded index
-  // key. The sidecar lands next to the artifact and the catalog entry
-  // points at it; the cost model estimates predicate selectivity from
-  // these instead of the root-fanout heuristic.
-  stats::TableStatsCollector stats_collector;
-  std::vector<stats::ColumnStatsCollector*> field_stats;
-  if (!input_schema.opaque()) {
-    const int nfields = std::min(input_schema.num_fields(), kMaxStatsFields);
-    field_stats.reserve(nfields);
-    for (int i = 0; i < nfields; ++i) {
-      field_stats.push_back(
-          stats_collector.Column("field:" + std::to_string(i)));
-    }
+  // Per-column statistics (src/stats/) ride along with the build scan,
+  // once per input version: "field:<i>" columns for leading record
+  // fields, plus an "expr:<key expr>" column fed the B+Tree's
+  // already-encoded index key unless that key is itself a field
+  // column. When the input's statistics already describe this version,
+  // only a missing "expr:" column is collected, and merged into them.
+  const stats::TableStats* reused =
+      input_stats != nullptr &&
+              input_stats->fingerprint == result.entry.input_fingerprint
+          ? input_stats
+          : nullptr;
+  const int schema_fields =
+      input_schema.opaque()
+          ? 0
+          : std::min(input_schema.num_fields(), kMaxStatsFields);
+  const int field_columns = reused != nullptr ? 0 : schema_fields;
+  std::vector<std::string> stats_columns;
+  for (int i = 0; i < field_columns; ++i) {
+    stats_columns.push_back("field:" + std::to_string(i));
   }
-  stats::ColumnStatsCollector* key_stats =
-      spec.btree ? stats_collector.Column("expr:" + spec.key_expr->ToString())
-                 : nullptr;
-  std::string field_key_bytes;
-  auto observe_record = [&](const Record& record) {
-    stats_collector.CountRow();
-    for (size_t i = 0; i < field_stats.size() && i < record.size(); ++i) {
-      field_key_bytes.clear();
-      // Non-scalar fields are not key-encodable; skip them.
-      if (!EncodeOrderedKey(record[i], &field_key_bytes).ok()) continue;
-      field_stats[i]->Add(field_key_bytes);
+  bool collect_key = false;
+  if (spec.btree) {
+    const int key_field = analysis::ValueFieldIndex(spec.key_expr);
+    const std::string key_column = "expr:" + spec.key_expr->ToString();
+    collect_key = (key_field < 0 || key_field >= schema_fields) &&
+                  (reused == nullptr || reused->columns.count(key_column) == 0);
+    if (collect_key) stats_columns.push_back(key_column);
+  }
+  stats::TableStatsCollector stats_collector(stats_columns);
+  std::vector<std::string> field_keys(field_columns);
+  std::vector<std::string_view> row_keys(stats_columns.size());
+  auto observe_record = [&](const Record& record,
+                            std::string_view index_key) -> Status {
+    if (stats_columns.empty()) return Status::OK();
+    for (size_t i = 0; i < field_keys.size(); ++i) {
+      field_keys[i].clear();
+      MANIMAL_RETURN_IF_ERROR(EncodeOrderedKey(record[i], &field_keys[i]));
+      row_keys[i] = field_keys[i];
     }
+    if (collect_key) row_keys.back() = index_key;
+    stats_collector.AddRow(row_keys);
+    return Status::OK();
   };
   auto finish_stats = [&]() -> Status {
     if (result.records == 0) return Status::OK();
-    const std::string stats_path = artifact_dir + "/stats-" + tag + ".json";
-    MANIMAL_RETURN_IF_ERROR(
-        stats_collector.Finish().SaveTo(stats_path + ".inprogress"));
-    MANIMAL_RETURN_IF_ERROR(
-        RenameFile(stats_path + ".inprogress", stats_path));
-    result.entry.stats_path = stats_path;
+    // One file per input, whichever artifact collected it.
+    result.entry.stats_path = StrPrintf(
+        "%s/stats-%016llx.json", artifact_dir.c_str(),
+        static_cast<unsigned long long>(Fnv1a(input_path)));
+    if (stats_columns.empty()) return Status::OK();
+    stats::TableStats table = stats_collector.Finish();
+    if (reused != nullptr) {
+      table.columns.insert(reused->columns.begin(), reused->columns.end());
+    }
+    table.fingerprint = result.entry.input_fingerprint;
+    MANIMAL_RETURN_IF_ERROR(table.SaveTo(result.entry.stats_path));
+    result.stats = std::make_shared<const stats::TableStats>(std::move(table));
     return Status::OK();
   };
 
@@ -170,7 +184,7 @@ Result<IndexBuildResult> BuildIndexArtifact(
     for (;;) {
       MANIMAL_ASSIGN_OR_RETURN(bool more, stream.Next(&key, &record));
       if (!more) break;
-      observe_record(record);
+      MANIMAL_RETURN_IF_ERROR(observe_record(record, {}));
       MANIMAL_RETURN_IF_ERROR(writer->Append(key, record));
       ++result.records;
     }
@@ -224,8 +238,7 @@ Result<IndexBuildResult> BuildIndexArtifact(
           analyzer::EvalExpr(spec.key_expr, Value::I64(key), value));
       std::string key_bytes;
       MANIMAL_RETURN_IF_ERROR(EncodeOrderedKey(index_key, &key_bytes));
-      observe_record(record);
-      if (key_stats != nullptr) key_stats->Add(key_bytes);
+      MANIMAL_RETURN_IF_ERROR(observe_record(record, key_bytes));
       std::string payload;
       if (spec.clustered) {
         // Embed the (projected) record itself, prefixed by its
@@ -324,7 +337,7 @@ Result<IndexBuildResult> BuildIndexArtifact(
       }
       Record stored = project_record(record);
       selector.Observe(stored);
-      observe_record(record);
+      MANIMAL_RETURN_IF_ERROR(observe_record(record, {}));
       sampled.emplace_back(key, std::move(stored));
     }
     const columnar::CodecSelection codec_sel = selector.Choose();
@@ -347,7 +360,7 @@ Result<IndexBuildResult> BuildIndexArtifact(
     while (!exhausted) {
       MANIMAL_ASSIGN_OR_RETURN(bool more, stream.Next(&key, &record));
       if (!more) break;
-      observe_record(record);
+      MANIMAL_RETURN_IF_ERROR(observe_record(record, {}));
       MANIMAL_RETURN_IF_ERROR(
           writer->Append(key, project_record(record)));
       ++result.records;

@@ -55,12 +55,9 @@ const stats::ColumnStats* FindKeyColumn(const stats::TableStats* stats,
                                         const analysis::ExprRef& expr) {
   if (stats == nullptr || expr == nullptr) return nullptr;
   const stats::ColumnStats* column = stats->Find("expr:" + expr->ToString());
-  if (column == nullptr && expr->kind == analysis::Expr::Kind::kField &&
-      expr->index >= 0 && !expr->args.empty() &&
-      expr->args[0] != nullptr &&
-      expr->args[0]->kind == analysis::Expr::Kind::kParam &&
-      expr->args[0]->index == 1) {
-    column = stats->Find("field:" + std::to_string(expr->index));
+  const int field = analysis::ValueFieldIndex(expr);
+  if (column == nullptr && field >= 0) {
+    column = stats->Find("field:" + std::to_string(field));
   }
   return column;
 }

@@ -1,9 +1,9 @@
 // EXPLAIN / EXPLAIN ANALYZE — plan introspection (docs/observability.md).
 //
 // EXPLAIN answers "what did the optimizer consider, and why did it
-// pick this plan": the full candidate set — chosen, rejected, and
-// uncataloged — with each candidate's estimated cost (bytes moved),
-// estimated selectivity, and the artifact it would use. EXPLAIN
+// pick this plan": the full candidate set — chosen, rejected,
+// uncataloged and stale — with each candidate's estimated cost (bytes
+// moved), estimated selectivity, and the artifact it would use. EXPLAIN
 // ANALYZE additionally attaches what the fabric actually measured:
 // per-task runtime stats, per-phase wall time and bytes, and the
 // observed per-interval selectivity of the selection predicate,
@@ -50,7 +50,8 @@ const char* ExplainModeName(ExplainMode mode);
 struct CandidateExplain {
   std::string describe;   // IndexGenProgram::Describe()
   std::string signature;  // catalog lookup key
-  // "chosen" | "rejected" | "uncataloged" (no artifact built yet).
+  // "chosen" | "rejected" | "uncataloged" (no artifact built yet) |
+  // "stale" (built from an earlier version of the input; never chosen).
   std::string verdict;
   std::string reason;  // why rejected / why chosen; "" if n/a
   bool cataloged = false;

@@ -5,6 +5,7 @@
 #include "analyzer/select.h"
 #include "codegen/shape.h"
 #include "columnar/dictionary.h"
+#include "columnar/seqfile.h"
 #include "common/env.h"
 #include "common/strings.h"
 #include "obs/journal.h"
@@ -324,23 +325,22 @@ Result<Plan> BuildPlan(const mril::Program& program,
   std::vector<Avail> available;
   ex.candidates.resize(candidates.size());
 
-  // Column statistics: any artifact build for this input may have left
-  // a stats sidecar; the first loadable one prices every candidate.
-  // Missing or unreadable stats just fall back to the tree-fanout
-  // heuristic.
-  stats::TableStats table_stats;
-  const stats::TableStats* stats = nullptr;
-  for (const index::CatalogEntry& e : catalog.FindForInput(input_path)) {
-    if (e.stats_path.empty()) continue;
-    Result<stats::TableStats> loaded =
-        stats::TableStats::Load(e.stats_path);
-    if (loaded.ok()) {
-      table_stats = std::move(loaded).value();
-      stats = &table_stats;
-      break;
-    }
+  // The input's current version. Artifacts and column statistics built
+  // from another version describe data that is no longer there: the
+  // statistics are ignored (tree-fanout pricing takes over) and the
+  // artifacts are stale, never chosen.
+  Result<std::string> fingerprint = [&]() -> Result<std::string> {
+    MANIMAL_ASSIGN_OR_RETURN(std::shared_ptr<columnar::SeqFileReader> input,
+                             columnar::SeqFileReader::Open(input_path));
+    return input->Fingerprint();
+  }();
+  const stats::TableStats* stats = catalog.StatsFor(input_path);
+  if (stats != nullptr &&
+      (!fingerprint.ok() || stats->fingerprint != *fingerprint)) {
+    stats = nullptr;
   }
 
+  size_t stale = 0;
   for (size_t i = 0; i < candidates.size(); ++i) {
     CandidateExplain& ce = ex.candidates[i];
     ce.describe = candidates[i].Describe();
@@ -353,8 +353,21 @@ Result<Plan> BuildPlan(const mril::Program& program,
       continue;
     }
     ce.cataloged = true;
-    ce.verdict = "rejected";  // chosen candidate overrides below
     ce.artifact_path = entry->artifact_path;
+    if (!fingerprint.ok() || entry->input_fingerprint != *fingerprint) {
+      ce.verdict = "stale";
+      ce.reason =
+          !fingerprint.ok()
+              ? "input unreadable: " + fingerprint.status().ToString()
+          : entry->input_fingerprint.empty()
+              ? "built before input fingerprints were recorded; rebuild"
+              : "input rewritten since the build (built from " +
+                    entry->input_fingerprint + ", now " + *fingerprint +
+                    "); rebuild";
+      ++stale;
+      continue;
+    }
+    ce.verdict = "rejected";  // chosen candidate overrides below
     Avail avail{i, std::move(*entry), std::nullopt};
     Result<CandidateCost> cost_or = EstimateArtifactCost(
         candidates[i], avail.entry, report, stats);
@@ -485,6 +498,9 @@ Result<Plan> BuildPlan(const mril::Program& program,
   plan.explanation =
       candidates.empty()
           ? "no optimizations detected; running conventionally"
+      : stale > 0
+          ? "every cataloged artifact is stale (input changed since it "
+            "was built); running conventionally until rebuilt"
           : "no matching index artifact in catalog; running "
             "conventionally (index-generation program available)";
   AttachReduceFilter(report, &plan);

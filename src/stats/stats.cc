@@ -11,7 +11,9 @@ namespace manimal::stats {
 
 namespace {
 
-// FNV-1a, the same hash family the rest of the repo uses for tags.
+// FNV-1a, the same hash family the rest of the repo uses for tags, but
+// with its own offset basis rather than common/strings.h's Fnv1a one:
+// switching would change every KMV sketch, and so every ndv.
 uint64_t HashKey(std::string_view s) {
   uint64_t h = 1469598103934665603ull;
   for (unsigned char c : s) {
@@ -20,6 +22,10 @@ uint64_t HashKey(std::string_view s) {
   }
   return h;
 }
+
+// Every collector starts its reservoir PRNG here, so rebuilding the
+// same input yields byte-identical stats.
+constexpr uint64_t kReservoirSeed = 0x9e3779b97f4a7c15ull;
 
 // xorshift64* — deterministic, seedless-state PRNG for the reservoir.
 uint64_t NextRng(uint64_t* state) {
@@ -31,15 +37,26 @@ uint64_t NextRng(uint64_t* state) {
   return x * 2685821657736338717ull;
 }
 
-std::string HexEncode(std::string_view s) {
+// Algorithm R: the reservoir slot of the `count`-th key (1-based).
+// Each of the first N keys survives with probability
+// kReservoirCapacity/N. Draws from *rng only once the reservoir is
+// full.
+size_t ReservoirSlot(uint64_t count, uint64_t* rng) {
+  if (count <= kReservoirCapacity) return static_cast<size_t>(count - 1);
+  const uint64_t j = NextRng(rng) % count;
+  return j < kReservoirCapacity ? static_cast<size_t>(j) : SIZE_MAX;
+}
+
+// Appends `s` as a quoted lowercase-hex JSON string (hex needs no
+// escaping).
+void AppendQuotedHex(std::string* out, std::string_view s) {
   static const char* kDigits = "0123456789abcdef";
-  std::string out;
-  out.reserve(s.size() * 2);
+  out->push_back('"');
   for (unsigned char c : s) {
-    out.push_back(kDigits[c >> 4]);
-    out.push_back(kDigits[c & 0xf]);
+    out->push_back(kDigits[c >> 4]);
+    out->push_back(kDigits[c & 0xf]);
   }
-  return out;
+  out->push_back('"');
 }
 
 Result<std::string> HexDecode(std::string_view s) {
@@ -70,7 +87,7 @@ void AppendHexArray(std::string* out, const char* key,
   out->append(":[");
   for (size_t i = 0; i < values.size(); ++i) {
     if (i) out->push_back(',');
-    out->append(obs::JsonQuote(HexEncode(values[i])));
+    AppendQuotedHex(out, values[i]);
   }
   out->push_back(']');
 }
@@ -136,6 +153,8 @@ std::string TableStats::ToJson() const {
   std::string out;
   out.append("{\"stats_version\":");
   out.append(std::to_string(kStatsVersion));
+  out.append(",\"fingerprint\":");
+  out.append(obs::JsonQuote(fingerprint));
   out.append(",\"row_count\":");
   out.append(std::to_string(row_count));
   out.append(",\"columns\":[");
@@ -174,6 +193,7 @@ Result<TableStats> TableStats::FromJson(std::string_view text) {
         StrPrintf("stats: unsupported stats_version %d", version));
   }
   TableStats table;
+  table.fingerprint = root.StringOr("fingerprint", "");
   table.row_count = static_cast<uint64_t>(root.NumberOr("row_count", 0));
   const obs::JsonValue* cols = root.Find("columns");
   if (cols != nullptr && cols->is_array()) {
@@ -204,7 +224,9 @@ Result<TableStats> TableStats::FromJson(std::string_view text) {
 }
 
 Status TableStats::SaveTo(const std::string& path) const {
-  return WriteStringToFile(path, ToJson());
+  const std::string temp_path = path + ".inprogress";
+  MANIMAL_RETURN_IF_ERROR(WriteStringToFile(temp_path, ToJson()));
+  return RenameFile(temp_path, path);
 }
 
 Result<TableStats> TableStats::Load(const std::string& path) {
@@ -215,71 +237,85 @@ Result<TableStats> TableStats::Load(const std::string& path) {
 
 // ---- collectors ----
 
-ColumnStatsCollector::ColumnStatsCollector(size_t reservoir_capacity,
-                                           size_t sketch_size,
-                                           size_t raw_sample_size)
-    : reservoir_capacity_(std::max<size_t>(1, reservoir_capacity)),
-      sketch_size_(std::max<size_t>(1, sketch_size)),
-      raw_sample_size_(raw_sample_size),
-      rng_(0x9e3779b97f4a7c15ull) {}
+namespace internal {
 
-void ColumnStatsCollector::Add(std::string_view encoded_key) {
-  ++count_;
-  // Reservoir sample (Algorithm R): each of the first N keys survives
-  // with probability capacity/N.
-  if (reservoir_.size() < reservoir_capacity_) {
-    reservoir_.emplace_back(encoded_key);
-  } else {
-    uint64_t j = NextRng(&rng_) % count_;
-    if (j < reservoir_capacity_) {
-      reservoir_[j].assign(encoded_key.data(), encoded_key.size());
+void ColumnSketch::Add(std::string_view encoded_key, size_t slot) {
+  if (slot == reservoir.size()) {
+    reservoir.emplace_back(encoded_key);
+  } else if (slot < reservoir.size()) {
+    reservoir[slot].assign(encoded_key.data(), encoded_key.size());
+  }
+  // KMV sketch: keep the kSketchSize smallest distinct hashes. Once
+  // full, almost every hash fails the first comparison.
+  const uint64_t h = HashKey(encoded_key);
+  if (kmv.size() < kSketchSize || h < kmv.back()) {
+    auto it = std::lower_bound(kmv.begin(), kmv.end(), h);
+    if (it == kmv.end() || *it != h) {
+      const size_t pos = it - kmv.begin();
+      if (kmv.size() == kSketchSize) kmv.pop_back();
+      kmv.insert(kmv.begin() + pos, h);
     }
   }
-  // KMV sketch: keep the `sketch_size_` smallest hashes.
-  uint64_t h = HashKey(encoded_key);
-  if (kmv_.size() < sketch_size_) {
-    kmv_.insert(h);
-  } else if (h < *kmv_.rbegin() && kmv_.find(h) == kmv_.end()) {
-    kmv_.insert(h);
-    kmv_.erase(std::prev(kmv_.end()));
-  }
-  if (raw_sample_.size() < raw_sample_size_) {
-    raw_sample_.emplace_back(encoded_key);
+  if (raw_sample.size() < kRawSampleSize) {
+    raw_sample.emplace_back(encoded_key);
   }
 }
 
-ColumnStats ColumnStatsCollector::Finish() const {
+ColumnStats ColumnSketch::Finish(uint64_t count) const {
   ColumnStats out;
-  out.row_count = count_;
-  out.histogram = reservoir_;
+  out.row_count = count;
+  out.histogram = reservoir;
   std::sort(out.histogram.begin(), out.histogram.end());
-  out.sample = raw_sample_;
-  if (!kmv_.empty()) {
-    if (kmv_.size() < sketch_size_) {
+  out.sample = raw_sample;
+  if (!kmv.empty()) {
+    if (kmv.size() < kSketchSize) {
       // Sketch never filled: it holds every distinct hash seen.
-      out.ndv = static_cast<double>(kmv_.size());
+      out.ndv = static_cast<double>(kmv.size());
     } else {
       // Standard KMV estimator: (k-1) / normalized k-th minimum.
-      const double kth = static_cast<double>(*kmv_.rbegin());
+      const double kth = static_cast<double>(kmv.back());
       const double unit = kth / 18446744073709551615.0;  // 2^64 - 1
       if (unit > 0) {
-        out.ndv = (static_cast<double>(kmv_.size()) - 1.0) / unit;
+        out.ndv = (static_cast<double>(kmv.size()) - 1.0) / unit;
       }
     }
-    out.ndv = std::min(out.ndv, static_cast<double>(count_));
+    out.ndv = std::min(out.ndv, static_cast<double>(count));
   }
   return out;
 }
 
-ColumnStatsCollector* TableStatsCollector::Column(const std::string& name) {
-  return &columns_.try_emplace(name).first->second;
+}  // namespace internal
+
+ColumnStatsCollector::ColumnStatsCollector() : rng_(kReservoirSeed) {}
+
+void ColumnStatsCollector::Add(std::string_view encoded_key) {
+  ++count_;
+  column_.Add(encoded_key, ReservoirSlot(count_, &rng_));
+}
+
+ColumnStats ColumnStatsCollector::Finish() const {
+  return column_.Finish(count_);
+}
+
+TableStatsCollector::TableStatsCollector(
+    std::vector<std::string> column_names)
+    : names_(std::move(column_names)),
+      rng_(kReservoirSeed),
+      columns_(names_.size()) {}
+
+void TableStatsCollector::AddRow(const std::vector<std::string_view>& keys) {
+  ++row_count_;
+  const size_t slot = ReservoirSlot(row_count_, &rng_);
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    columns_[i].Add(keys[i], slot);
+  }
 }
 
 TableStats TableStatsCollector::Finish() const {
   TableStats out;
   out.row_count = row_count_;
-  for (const auto& [name, collector] : columns_) {
-    out.columns.emplace(name, collector.Finish());
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    out.columns.emplace(names_[i], columns_[i].Finish(row_count_));
   }
   return out;
 }

@@ -16,15 +16,17 @@
 //     sample.
 //   * a small raw row sample for debugging/EXPLAIN.
 //
-// Columns are named by what produced the key: "expr:<Expr::ToString>"
-// for a B+Tree build's index-key expression, "field:<i>" for plain
-// record fields. All keys are serde::EncodeOrderedKey encodings, so
-// estimation is pure byte comparison and works for any Value type the
-// key codec supports.
+// Columns are named by what produced the key: "field:<i>" for plain
+// record fields, "expr:<Expr::ToString>" for a B+Tree build's computed
+// index-key expression. All keys are serde::EncodeOrderedKey
+// encodings, so estimation is pure byte comparison and works for any
+// Value type the key codec supports.
 //
-// Stats are serialized as a single JSON document (via obs/json) with
-// a "stats_version" field checked on load, and referenced from the
-// catalog (src/index/catalog.h) by path.
+// Statistics belong to one version of one input file, named by its
+// SeqFileReader::Fingerprint(). They are serialized as a single JSON
+// document (via obs/json) with a "stats_version" field checked on
+// load, shared by every catalog entry of the input, and held parsed
+// by the catalog (src/index/catalog.h).
 
 #ifndef MANIMAL_STATS_STATS_H_
 #define MANIMAL_STATS_STATS_H_
@@ -32,7 +34,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,7 +42,13 @@
 
 namespace manimal::stats {
 
-inline constexpr int kStatsVersion = 1;
+inline constexpr int kStatsVersion = 2;
+
+// Per-column summary sizes: reservoir (= histogram) keys, KMV hashes,
+// raw sample keys.
+inline constexpr size_t kReservoirCapacity = 1024;
+inline constexpr size_t kSketchSize = 256;
+inline constexpr size_t kRawSampleSize = 8;
 
 // Summaries for one column. `histogram` and `sample` hold
 // memcomparable key encodings; `histogram` is sorted.
@@ -64,8 +71,10 @@ struct ColumnStats {
                                bool hi_inclusive) const;
 };
 
-// All columns collected for one input file.
+// All columns collected for one version of an input file.
 struct TableStats {
+  // SeqFileReader::Fingerprint() of the input version described.
+  std::string fingerprint;
   uint64_t row_count = 0;
   std::map<std::string, ColumnStats> columns;
 
@@ -75,45 +84,67 @@ struct TableStats {
   std::string ToJson() const;
   static Result<TableStats> FromJson(std::string_view text);
 
+  // Commits by temp + rename: a reader sees the previous file or this
+  // one, never a torn prefix.
   Status SaveTo(const std::string& path) const;
   static Result<TableStats> Load(const std::string& path);
 };
+
+namespace internal {
+
+// One column's summaries under construction. Which reservoir slot a
+// key takes is decided by the owner: per column in
+// ColumnStatsCollector, once per row for every column in
+// TableStatsCollector.
+struct ColumnSketch {
+  // reservoir.size() appends, a smaller slot replaces, anything larger
+  // keeps the key out of the reservoir.
+  void Add(std::string_view encoded_key, size_t slot);
+  ColumnStats Finish(uint64_t count) const;
+
+  std::vector<std::string> reservoir;
+  std::vector<uint64_t> kmv;  // smallest distinct key hashes, ascending
+  std::vector<std::string> raw_sample;
+};
+
+}  // namespace internal
 
 // Streaming collector for one column: reservoir sample + KMV sketch.
 // Deterministic (fixed-seed xorshift), so rebuilding the same input
 // yields byte-identical stats.
 class ColumnStatsCollector {
  public:
-  explicit ColumnStatsCollector(size_t reservoir_capacity = 1024,
-                                size_t sketch_size = 256,
-                                size_t raw_sample_size = 8);
+  ColumnStatsCollector();
 
   void Add(std::string_view encoded_key);
   ColumnStats Finish() const;
 
  private:
-  size_t reservoir_capacity_;
-  size_t sketch_size_;
-  size_t raw_sample_size_;
   uint64_t count_ = 0;
   uint64_t rng_;
-  std::vector<std::string> reservoir_;
-  std::set<uint64_t> kmv_;  // smallest `sketch_size_` key hashes
-  std::vector<std::string> raw_sample_;
+  internal::ColumnSketch column_;
 };
 
-// Collector for a whole table; columns are created on first use.
+// Collector for a whole table, one row at a time, with every column
+// fed once per row. Each column then makes the reservoir decision its
+// own ColumnStatsCollector would make — same seed, same count — so it
+// is made once per row and shared: the result equals one
+// ColumnStatsCollector per column, at a fraction of the cost.
 class TableStatsCollector {
  public:
-  // Returns the collector for `name`, creating it if needed.
-  ColumnStatsCollector* Column(const std::string& name);
-  void CountRow() { ++row_count_; }
+  explicit TableStatsCollector(std::vector<std::string> column_names);
 
+  // keys[i] is column i's encoded key for this row.
+  void AddRow(const std::vector<std::string_view>& keys);
+
+  // The collected columns; row_count counts AddRow calls.
   TableStats Finish() const;
 
  private:
+  std::vector<std::string> names_;
   uint64_t row_count_ = 0;
-  std::map<std::string, ColumnStatsCollector> columns_;
+  uint64_t rng_;
+  std::vector<internal::ColumnSketch> columns_;
 };
 
 }  // namespace manimal::stats

@@ -366,11 +366,10 @@ TEST(CostTest, SelectivityPrefersHistogramAndFallsBackToFanout) {
 }
 
 TEST(StatsTest, RoundTripAndEstimates) {
-  stats::TableStatsCollector collector;
-  stats::ColumnStatsCollector* col = collector.Column("field:1");
+  stats::TableStatsCollector collector({"field:1"});
   for (int i = 0; i < 10000; ++i) {
-    col->Add(Key(i));
-    collector.CountRow();
+    const std::string key = Key(i);
+    collector.AddRow({key});
   }
   TempDir dir("stats-rt");
   const std::string path = dir.file("stats.json");

@@ -27,10 +27,12 @@
 #include "mril/assembler.h"
 #include "mril/builder.h"
 #include "mril/verifier.h"
+#include "optimizer/explain.h"
 #include "workloads/schemas.h"
 #include "tests/mril_gen.h"
 #include "tests/test_util.h"
 #include "workloads/datagen.h"
+#include "workloads/pavlo.h"
 
 namespace manimal {
 namespace {
@@ -541,6 +543,162 @@ TEST_F(DifferentialHarness, CorpusProgramsMatchBaselineUnderCodecs) {
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
+}
+
+// ---------------------------------------------------------------
+// Inputs rewritten after indexing. A B+Tree built over one version of
+// UserVisits must never answer for another: the optimizer compares the
+// input's fingerprint with the one the catalog recorded, runs the plain
+// scan while they differ, and uses the tree again once it is rebuilt.
+// The rewrite keeps the row count (old locators still resolve, to other
+// records) or shrinks it (old locators point past the file). Job faults
+// come from MANIMAL_FAULT_SEED / MANIMAL_FAULT_RATE; task retry must
+// mask them.
+
+class StaleInputDifferential : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(StaleInputDifferential, RewrittenInputMatchesBaseline) {
+  TempDir dir("diff-stale");
+  const std::string input = dir.file("visits.msq");
+  workloads::UserVisitsOptions gen;
+  gen.num_visits = 30000;
+  gen.num_pages = 20000;
+  gen.seed = 1;
+  ASSERT_OK(workloads::GenerateUserVisits(input, gen).status());
+  // B3's date-range selection over 1% of the range.
+  const mril::Program program = workloads::Benchmark3Join(
+      gen.date_epoch, gen.date_epoch + gen.date_range / 100 - 1);
+
+  core::ManimalSystem::Options options;
+  options.workspace_dir = dir.file("ws");
+  options.simulated_startup_seconds = 0;
+  options.simulated_disk_bytes_per_sec = 0;
+  options.max_task_attempts = 16;
+  options.retry_backoff_ms = 0;
+  options.explain = optimizer::ExplainMode::kPlan;
+  ASSERT_OK_AND_ASSIGN(auto system, core::ManimalSystem::Open(options));
+  ASSERT_OK_AND_ASSIGN(auto report, analyzer::Analyze(program));
+  const analyzer::IndexGenProgram* tree = nullptr;
+  const auto specs = analyzer::SynthesizeIndexPrograms(program, report);
+  for (const analyzer::IndexGenProgram& spec : specs) {
+    if (spec.btree && !spec.clustered && !spec.projection) tree = &spec;
+  }
+  ASSERT_NE(tree, nullptr);
+  ASSERT_OK(system->BuildIndex(*tree, input).status());
+
+  gen.seed = 777;
+  gen.num_visits = GetParam();
+  ASSERT_OK(workloads::GenerateUserVisits(input, gen).status());
+
+  FaultyEnv::Config defaults;
+  defaults.seed = 1;
+  defaults.rate = 0.02;
+  // Submits `program` under job-level fault injection and returns its
+  // output, which must equal the conventional run's.
+  auto submit_matching_baseline =
+      [&](const std::string& tag) -> core::ManimalSystem::SubmitOutcome {
+    core::ManimalSystem::Submission job;
+    job.program = program;
+    job.input_path = input;
+    job.output_path = dir.file(tag + "-baseline.prs");
+    ScopedFaultInjection inject(FaultyEnv::ConfigFromEnv(defaults));
+    EXPECT_OK(system->RunBaseline(job).status());
+    auto baseline = exec::ReadCanonicalPairs(job.output_path);
+    EXPECT_OK(baseline.status());
+    job.output_path = dir.file(tag + ".prs");
+    auto outcome = system->Submit(job);
+    EXPECT_OK(outcome.status());
+    if (!outcome.ok() || !baseline.ok()) return {};
+    auto pairs = exec::ReadCanonicalPairs(job.output_path);
+    EXPECT_OK(pairs.status());
+    if (pairs.ok()) {
+      EXPECT_EQ(*pairs, *baseline)
+          << "plan '" << outcome->plan.explanation << "' changed the output";
+    }
+    return std::move(outcome).value();
+  };
+  auto verdict = [&](const core::ManimalSystem::SubmitOutcome& outcome) {
+    for (const optimizer::CandidateExplain& c :
+         outcome.plan.explain.candidates) {
+      if (c.describe == tree->Describe()) return c.verdict;
+    }
+    return std::string();
+  };
+
+  const auto stale = submit_matching_baseline("stale");
+  EXPECT_EQ(verdict(stale), "stale");
+  EXPECT_NE(stale.plan.descriptor.access_path, exec::AccessPath::kBTree);
+
+  ASSERT_OK(system->BuildIndex(*tree, input).status());
+  const auto rebuilt = submit_matching_baseline("rebuilt");
+  EXPECT_EQ(verdict(rebuilt), "chosen");
+  EXPECT_EQ(rebuilt.plan.descriptor.access_path, exec::AccessPath::kBTree);
+}
+
+INSTANTIATE_TEST_SUITE_P(RewrittenRows, StaleInputDifferential,
+                         ::testing::Values(30000, 20000));
+
+// Column-group artifacts commit by temp + rename. A rebuild of the same
+// spec on the same input reuses the artifact's paths; failing it at any
+// one filesystem operation (fail_nth sweeps every site, short writes
+// included) must leave the cataloged artifact readable and its output
+// equal to the conventional run's.
+TEST(ColumnGroupTornRebuild, FailedRebuildKeepsCatalogedArtifact) {
+  TempDir dir("diff-cg-torn");
+  const std::string input = dir.file("pages.msq");
+  workloads::WebPagesOptions gen;
+  gen.num_pages = 1500;
+  gen.content_len = 48;
+  gen.rank_range = kRankRange;
+  ASSERT_OK(workloads::GenerateWebPages(input, gen).status());
+  const mril::Program program = workloads::ProjectionQuery(kRankRange / 2);
+
+  core::ManimalSystem::Options options;
+  options.workspace_dir = dir.file("ws");
+  options.simulated_startup_seconds = 0;
+  ASSERT_OK_AND_ASSIGN(auto system, core::ManimalSystem::Open(options));
+  ASSERT_OK_AND_ASSIGN(auto report, analyzer::Analyze(program));
+  const analyzer::IndexGenProgram* groups = nullptr;
+  const auto specs = analyzer::SynthesizeIndexPrograms(program, report);
+  for (const analyzer::IndexGenProgram& spec : specs) {
+    if (spec.column_groups) groups = &spec;
+  }
+  ASSERT_NE(groups, nullptr);
+  ASSERT_OK(system->BuildIndex(*groups, input).status());
+
+  core::ManimalSystem::Submission job;
+  job.program = program;
+  job.input_path = input;
+  job.output_path = dir.file("baseline.prs");
+  ASSERT_OK(system->RunBaseline(job).status());
+  ASSERT_OK_AND_ASSIGN(auto baseline,
+                       exec::ReadCanonicalPairs(job.output_path));
+
+  FaultyEnv::Config defaults;
+  defaults.seed = 1;
+  FaultyEnv::Config config = FaultyEnv::ConfigFromEnv(defaults);
+  config.rate = 0;
+  uint64_t nth = 1;
+  for (;; ++nth) {
+    SCOPED_TRACE("fail_nth " + std::to_string(nth));
+    config.fail_nth = nth;
+    Status rebuilt;
+    {
+      ScopedFaultInjection inject(config);
+      ScopedFaultArming arm;
+      rebuilt = system->BuildIndex(*groups, input).status();
+    }
+    job.output_path = dir.file("opt-" + std::to_string(nth) + ".prs");
+    ASSERT_OK_AND_ASSIGN(auto outcome, system->Submit(job));
+    EXPECT_EQ(outcome.plan.descriptor.access_path,
+              exec::AccessPath::kColumnGroups);
+    ASSERT_OK_AND_ASSIGN(auto pairs,
+                         exec::ReadCanonicalPairs(job.output_path));
+    ASSERT_EQ(pairs, baseline) << "after: " << rebuilt.ToString();
+    if (rebuilt.ok()) break;  // past the last injection site
+    ASSERT_LT(nth, 10000u) << "rebuild never completed";
+  }
+  EXPECT_GT(nth, 5u) << "the sweep never reached the sibling files";
 }
 
 }  // namespace

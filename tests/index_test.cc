@@ -491,6 +491,32 @@ TEST(CatalogTest, CorruptManifestRejected) {
   EXPECT_FALSE(Catalog::Open(dir.file("c.txt")).ok());
 }
 
+TEST(CatalogTest, FingerprintColumnRoundTripsAndOlderLayoutsLoad) {
+  TempDir dir("catalog7");
+  CatalogEntry e;
+  e.input_file = "in";
+  e.signature = "sig";
+  e.input_fingerprint = "4096-1700000000000000000-00000000deadbeef";
+  {
+    ASSERT_OK_AND_ASSIGN(Catalog catalog, Catalog::Open(dir.file("c.txt")));
+    ASSERT_OK(catalog.Register(e));
+  }
+  ASSERT_OK_AND_ASSIGN(Catalog catalog, Catalog::Open(dir.file("c.txt")));
+  ASSERT_TRUE(catalog.Find("in", "sig").has_value());
+  EXPECT_EQ(catalog.Find("in", "sig")->input_fingerprint,
+            e.input_fingerprint);
+
+  // The pre-stats 7-column layout loads with no fingerprint (and so
+  // is stale to the optimizer), and a missing stats file is no error.
+  ASSERT_OK(WriteStringToFile(dir.file("old.txt"),
+                              "in\tsig\ta.idx\t\t\t100\t400\n"
+                              "in\tsig2\tb.idx\t\t\t100\t400\tnone.json\n"));
+  ASSERT_OK_AND_ASSIGN(Catalog old, Catalog::Open(dir.file("old.txt")));
+  ASSERT_EQ(old.entries().size(), 2u);
+  EXPECT_EQ(old.entries()[0].input_fingerprint, "");
+  EXPECT_EQ(old.StatsFor("in"), nullptr);
+}
+
 TEST(CatalogTest, TornSaveLeavesPreviousCatalogReadable) {
   // Fail each filesystem operation of one Register in turn (open,
   // write — possibly torn short — close, rename, then steps past the

@@ -200,7 +200,7 @@ void CheckExplain(const std::string& path) {
   const std::vector<std::string> lines = SplitLines(*text);
   if (lines.empty()) Fail(path, 0, "explain file is empty");
   static const std::set<std::string> kVerdicts = {"chosen", "rejected",
-                                                 "uncataloged"};
+                                                 "uncataloged", "stale"};
   static const std::set<std::string> kProvenances = {"histogram",
                                                     "btree-fanout"};
   for (size_t i = 0; i < lines.size(); ++i) {
