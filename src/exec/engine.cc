@@ -61,16 +61,20 @@ std::string TaskId(char kind, int index) {
 }
 
 // Shared error latch: first error wins; all tasks then bail early.
+// Failed() is polled once per map record and once per reduce group by
+// every task thread, so it is one atomic load; the flag is raised only
+// after first_ holds the winning error, so a task that sees it and
+// bails can never overtake that error in Set().
 class ErrorLatch {
  public:
   void Set(const Status& status) {
+    if (status.ok()) return;
     std::lock_guard<std::mutex> lock(mu_);
-    if (first_.ok() && !status.ok()) first_ = status;
+    if (!first_.ok()) return;
+    first_ = status;
+    failed_.store(true, std::memory_order_release);
   }
-  bool Failed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return !first_.ok();
-  }
+  bool Failed() const { return failed_.load(std::memory_order_acquire); }
   Status First() const {
     std::lock_guard<std::mutex> lock(mu_);
     return first_;
@@ -79,6 +83,7 @@ class ErrorLatch {
  private:
   mutable std::mutex mu_;
   Status first_;
+  std::atomic<bool> failed_{false};
 };
 
 // Job output sink: a PairFile, or (pipeline mode) a typed SeqFile the
@@ -782,9 +787,11 @@ Result<JobRunner::CommitFn> JobRunner::ReduceAttempt(int partition,
     return state->part->PairAdded();
   });
 
+  // One key and one values list for the whole partition: the iterator
+  // refills them in place, and their strings borrow its group buffers
+  // (the VM promotes whatever the reduce retains or emits).
   GroupIterator groups(stream.get());
-  Value key;
-  ValueList values;
+  Value key, values;
   while (true) {
     MANIMAL_ASSIGN_OR_RETURN(bool more, groups.Next(&key, &values));
     if (!more) break;
@@ -792,8 +799,7 @@ Result<JobRunner::CommitFn> JobRunner::ReduceAttempt(int partition,
       return Status::Internal("reduce task aborted: job already failed");
     }
     ++state->groups;
-    MANIMAL_RETURN_IF_ERROR(
-        vm.InvokeReduce(key, Value::List(std::move(values))));
+    MANIMAL_RETURN_IF_ERROR(vm.InvokeReduce(key, values));
   }
   MANIMAL_RETURN_IF_ERROR(state->part->Finish());
   state->vm_instructions = vm.total_steps();

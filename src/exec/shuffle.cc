@@ -185,7 +185,7 @@ Shuffle::Stats Shuffle::stats() const {
 
 // ---------------- GroupIterator ----------------
 
-Result<bool> GroupIterator::Next(Value* key, ValueList* values) {
+Result<bool> GroupIterator::Next(Value* key, Value* values) {
   if (!stream_->Valid()) return false;
   group_key_.assign(stream_->key());
   // The pooled strings beyond `n` keep their capacity for the next
@@ -197,13 +197,13 @@ Result<bool> GroupIterator::Next(Value* key, ValueList* values) {
     MANIMAL_RETURN_IF_ERROR(stream_->Next());
   }
   std::sort(encoded_values_.begin(), encoded_values_.begin() + n);
-  values->clear();
-  values->reserve(n);
+  if (!values->has_unique_list()) *values = Value::List({});
+  ValueList& items = values->mutable_list();
+  items.resize(n);
   for (size_t i = 0; i < n; ++i) {
     std::string_view in = encoded_values_[i];
-    Value v;
-    MANIMAL_RETURN_IF_ERROR(DecodeValue(&in, &v));
-    values->push_back(std::move(v));
+    MANIMAL_RETURN_IF_ERROR(
+        DecodeValue(&in, &items[i], /*borrow_strings=*/true));
   }
   MANIMAL_RETURN_IF_ERROR(DecodeOrderedKey(group_key_, key));
   return true;

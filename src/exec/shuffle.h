@@ -129,13 +129,21 @@ class Shuffle {
 // (encoded-bytes) order: the shuffle's arrival order is
 // nondeterministic, so a fixed order keeps runs reproducible and
 // baseline/optimized outputs comparable.
+//
+// A group costs no allocation once the buffers are warm. Str keys and
+// values are decoded as borrowed views into the iterator's own group
+// buffers, valid until the next call to Next(); and when *values
+// still holds the previous group's list and nothing else shares it,
+// the new group is decoded into that storage in place (the VM
+// promotes anything a reduce retains, and drops its references when
+// the invocation returns).
 class GroupIterator {
  public:
   explicit GroupIterator(index::SortedStream* stream)
       : stream_(stream) {}
 
-  // Fills *key (decoded group key) and *values; false at end.
-  Result<bool> Next(Value* key, ValueList* values);
+  // Fills *key (decoded group key) and *values (a list); false at end.
+  Result<bool> Next(Value* key, Value* values);
 
  private:
   index::SortedStream* const stream_;

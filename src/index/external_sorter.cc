@@ -69,15 +69,16 @@ class RunReader {
   size_t available() const { return buf_.size() - pos_; }
 
   // Tops the window up to at least n readable bytes (less only at
-  // EOF), refilling in kBlockBytes chunks.
+  // EOF), refilling in kBlockBytes chunks. Never more than a chunk at
+  // a time: n comes from lengths stored in the run, and a corrupted
+  // one must fail at EOF, not allocate what it claims.
   Status Ensure(size_t n) {
     if (available() >= n || eof_) return Status::OK();
     buf_.erase(0, pos_);
     pos_ = 0;
     std::string chunk;
     while (buf_.size() < n && !eof_) {
-      MANIMAL_RETURN_IF_ERROR(
-          file_->Read(std::max(kBlockBytes, n - buf_.size()), &chunk));
+      MANIMAL_RETURN_IF_ERROR(file_->Read(kBlockBytes, &chunk));
       if (chunk.empty()) {
         eof_ = true;
         break;

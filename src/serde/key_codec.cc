@@ -119,7 +119,7 @@ Status DecodeOrderedKey(std::string_view input, Value* value) {
       return Status::OK();
     }
     case kRankStr:
-      *value = Value::Str(std::string(input));
+      *value = Value::Borrowed(input);
       return Status::OK();
     default:
       return Status::Corruption("bad ordered key rank byte");

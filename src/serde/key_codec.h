@@ -28,7 +28,10 @@ namespace manimal {
 // handles are rejected.
 Status EncodeOrderedKey(const Value& value, std::string* dst);
 
-// Inverse of EncodeOrderedKey; consumes the whole input.
+// Inverse of EncodeOrderedKey; consumes the whole input. A str key is
+// a Value::Borrowed view into `input`'s backing buffer: it is valid
+// only while that buffer is (short keys are stored inline and never
+// dangle), and a caller that keeps it longer takes ToOwned().
 Status DecodeOrderedKey(std::string_view input, Value* value);
 
 }  // namespace manimal

@@ -105,7 +105,8 @@ Status EncodeValue(const Value& value, std::string* dst) {
   return Status::Internal("bad value kind");
 }
 
-Status DecodeValue(std::string_view* input, Value* value) {
+Status DecodeValue(std::string_view* input, Value* value,
+                   bool borrow_strings) {
   if (input->empty()) return Status::Corruption("truncated value");
   auto kind = static_cast<ValueKind>((*input)[0]);
   input->remove_prefix(1);
@@ -134,7 +135,7 @@ Status DecodeValue(std::string_view* input, Value* value) {
     case ValueKind::kStr: {
       std::string_view s;
       MANIMAL_RETURN_IF_ERROR(GetLengthPrefixed(input, &s));
-      *value = Value::Str(std::string(s));
+      *value = borrow_strings ? Value::Borrowed(s) : Value::Str(s);
       return Status::OK();
     }
     case ValueKind::kList: {
@@ -144,7 +145,7 @@ Status DecodeValue(std::string_view* input, Value* value) {
       items.reserve(n);
       for (uint64_t i = 0; i < n; ++i) {
         Value item;
-        MANIMAL_RETURN_IF_ERROR(DecodeValue(input, &item));
+        MANIMAL_RETURN_IF_ERROR(DecodeValue(input, &item, borrow_strings));
         items.push_back(std::move(item));
       }
       *value = Value::List(std::move(items));

@@ -38,9 +38,12 @@ Status DecodeRecord(const Schema& schema, std::string_view* input,
 
 // Encodes/decodes a single standalone Value (used for shuffle pairs,
 // whose key/value types are not schema-bound). Lists of scalars are
-// supported; handles are not serializable.
+// supported; handles are not serializable. `borrow_strings` works as
+// in DecodeRecord: str values (inside lists too) become views into
+// *input's backing buffer.
 Status EncodeValue(const Value& value, std::string* dst);
-Status DecodeValue(std::string_view* input, Value* value);
+Status DecodeValue(std::string_view* input, Value* value,
+                   bool borrow_strings = false);
 
 // The AbstractTuple model: a custom, self-describing-but-unannotated
 // serialization of a tuple into a blob string.

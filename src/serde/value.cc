@@ -250,9 +250,12 @@ uint64_t Value::Hash() const {
       break;
     case ValueKind::kF64: {
       double d = f64();
-      if (d == static_cast<int64_t>(d)) {
-        // Hash integral doubles like their i64 twin so Compare==0
-        // implies equal hashes.
+      // Hash integral doubles like their i64 twin so Compare==0
+      // implies equal hashes. The range check comes first: casting
+      // NaN, an infinity or anything outside [-2^63, 2^63) to int64_t
+      // is undefined.
+      if (d >= -0x1p63 && d < 0x1p63 &&
+          d == static_cast<double>(static_cast<int64_t>(d))) {
         h = mix(h, static_cast<uint64_t>(static_cast<int64_t>(d)));
       } else {
         uint64_t bits;

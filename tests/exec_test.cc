@@ -200,6 +200,38 @@ TEST_F(EngineTest, UserErrorFailsTheJob) {
   EXPECT_FALSE(result.ok());  // some row has rank == 0
 }
 
+TEST_F(EngineTest, ReduceGroupErrorFailsTheJobCleanly) {
+  // reduce(rank, ones) emits 100 / rank and then spins, so every group
+  // takes a while. Group 0 is the first group of its partition: it
+  // raises while the reduce tasks of the other partitions run, and
+  // those bail out at their next group. The job must fail with group
+  // 0's error, not with a bail-out, and leave no output and no task
+  // part files.
+  mril::ProgramBuilder b("reduce-boom");
+  b.SetValueSchema(workloads::WebPagesSchema());
+  b.Map().LoadParam(1).GetField("rank").LoadI64(1).Emit().Ret();
+  auto& r = b.Reduce();
+  const int i = r.NewLocal();
+  r.LoadParam(0).LoadI64(100).LoadParam(0).Div().Emit();
+  r.LoadI64(0).StoreLocal(i);
+  r.Label("spin").LoadLocal(i).LoadI64(20000).CmpGe().JmpIfTrue("done");
+  r.LoadLocal(i).LoadI64(1).Add().StoreLocal(i).Jmp("spin");
+  r.Label("done").Ret();
+  JobConfig config = Config("reduce-boom.prs");
+  config.num_partitions = 8;
+  auto result = RunJob(Baseline(b.Build()), config);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("integer division by 0"),
+            std::string::npos)
+      << result.status().ToString();
+  EXPECT_FALSE(FileExists(config.output_path));
+  EXPECT_FALSE(FileExists(config.output_path + ".inprogress"));
+  ASSERT_OK_AND_ASSIGN(auto leftovers, ListDir(config.temp_dir));
+  for (const std::string& name : leftovers) {
+    EXPECT_NE(name.rfind("part-", 0), 0u) << "leaked task part " << name;
+  }
+}
+
 TEST_F(EngineTest, LogMessagesAreCounted) {
   mril::ProgramBuilder b("logger");
   b.SetValueSchema(workloads::WebPagesSchema());

@@ -3,9 +3,15 @@
 // compression), and the persistent catalog.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/coding.h"
 #include "common/faulty_env.h"
 #include "common/random.h"
 #include "index/btree.h"
@@ -225,6 +231,177 @@ TEST(ExternalSorterTest, EmptyKeysAndPayloads) {
     ASSERT_OK(stream->Next());
   }
   EXPECT_EQ(count, 3);
+}
+
+// ---------------- sort order property ----------------
+
+using Entries = std::vector<std::pair<std::string, std::string>>;
+
+// Adversarial key sets for the sort order, chosen against faster
+// comparators than memcmp (word-sized prefixes, skipped common
+// prefixes): keys shorter than 8 bytes, empty keys, embedded NULs
+// ("a" vs "a\0"), bytes above 0x7f, a shared prefix longer than 8
+// bytes (with one key equal to it, and suffixes that differ only past
+// their first 8 bytes), and all keys equal.
+std::vector<std::pair<std::string, std::vector<std::string>>>
+AdversarialKeySets() {
+  using namespace std::string_literals;
+  const std::string alphabet = "\0\1ab\x7f\x80\xff"s;
+  Rng rng(77);
+  auto random_key = [&](size_t max_len) {
+    std::string key(rng.Uniform(max_len + 1), '\0');
+    for (char& c : key) c = alphabet[rng.Uniform(alphabet.size())];
+    return key;
+  };
+  std::vector<std::pair<std::string, std::vector<std::string>>> sets;
+  std::vector<std::string> keys;
+  for (int i = 0; i < 600; ++i) keys.push_back(random_key(7));
+  sets.emplace_back("short", keys);
+
+  keys.clear();
+  const std::vector<std::string> nul_keys = {
+      "", "\0"s, "a", "a\0"s, "a\0\0"s, "a\1"s, "a\0b"s, "b", "\0\0"s};
+  for (int i = 0; i < 400; ++i) {
+    keys.push_back(nul_keys[rng.Uniform(nul_keys.size())]);
+  }
+  sets.emplace_back("embedded_nul", keys);
+
+  keys.clear();
+  const std::string prefix = "\x04http://www.site";  // 16 bytes
+  for (int i = 0; i < 600; ++i) {
+    if (rng.OneIn(20)) {
+      keys.push_back(prefix);
+    } else if (rng.OneIn(3)) {
+      // Ties on the 8 bytes after the shared prefix; differs later.
+      keys.push_back(prefix + "12345678" + random_key(4));
+    } else {
+      keys.push_back(prefix + random_key(12));
+    }
+  }
+  sets.emplace_back("long_shared_prefix", keys);
+
+  keys.assign(300, prefix + "42.com/index.html");
+  sets.emplace_back("all_equal", keys);
+
+  keys.clear();
+  for (int i = 0; i < 600; ++i) keys.push_back(random_key(24));
+  sets.emplace_back("mixed_lengths", keys);
+  return sets;
+}
+
+// Payload = insertion index, so equal keys show their exact order.
+Entries Numbered(const std::vector<std::string>& keys) {
+  Entries entries;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    entries.emplace_back(keys[i], std::to_string(i));
+  }
+  return entries;
+}
+
+// std::sort by raw key bytes: the permutation a sorted run must have.
+void ByteSort(Entries::iterator begin, Entries::iterator end) {
+  std::sort(begin, end,
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+}
+
+Result<Entries> Drain(SortedStream* stream) {
+  Entries out;
+  while (stream->Valid()) {
+    out.emplace_back(std::string(stream->key()),
+                     std::string(stream->payload()));
+    MANIMAL_RETURN_IF_ERROR(stream->Next());
+  }
+  return out;
+}
+
+TEST(SpillBufferTest, SortMatchesStdSortOnAdversarialKeys) {
+  TempDir dir("spillbuffer");
+  for (const auto& [name, keys] : AdversarialKeySets()) {
+    SCOPED_TRACE(name);
+    Entries expected = Numbered(keys);
+    ByteSort(expected.begin(), expected.end());
+
+    SpillBuffer memory;
+    for (const auto& [k, v] : Numbered(keys)) memory.Add(k, v);
+    const MemoryRun run = memory.TakeSortedRun();
+    Entries got;
+    for (const MemoryRun::Entry& e : run.entries) {
+      got.emplace_back(run.arena.substr(e.key_offset, e.key_len),
+                       run.arena.substr(e.payload_offset, e.payload_len));
+    }
+    EXPECT_EQ(got, expected);
+
+    SpillBuffer spill;
+    for (const auto& [k, v] : Numbered(keys)) spill.Add(k, v);
+    const std::string path = dir.file(name + ".sort");
+    ASSERT_OK(spill.SpillToFile(path).status());
+    ASSERT_OK_AND_ASSIGN(auto stream, MergeSortedRuns({path}, {}));
+    ASSERT_OK_AND_ASSIGN(Entries from_file, Drain(stream.get()));
+    EXPECT_EQ(from_file, expected);
+  }
+}
+
+TEST(ExternalSorterTest, SpilledSortMatchesStdSortOnAdversarialKeys) {
+  for (const auto& [name, keys] : AdversarialKeySets()) {
+    SCOPED_TRACE(name);
+    TempDir dir("sorter-adversarial");
+    ExternalSorter::Options opts;
+    opts.temp_dir = dir.path();
+    opts.memory_budget_bytes = 300;
+    ExternalSorter sorter(opts);
+    // The sorter's runs: it spills once a run's bytes reach the
+    // budget, and keeps the rest as an in-memory tail.
+    const Entries input = Numbered(keys);
+    Entries expected;
+    size_t run_start = 0;
+    uint64_t run_bytes = 0;
+    for (size_t i = 0; i < input.size(); ++i) {
+      ASSERT_OK(sorter.Add(input[i].first, input[i].second));
+      expected.push_back(input[i]);
+      run_bytes += input[i].first.size() + input[i].second.size();
+      if (run_bytes >= opts.memory_budget_bytes || i + 1 == input.size()) {
+        ByteSort(expected.begin() + run_start, expected.end());
+        run_start = expected.size();
+        run_bytes = 0;
+      }
+    }
+    ASSERT_GT(sorter.stats().spilled_runs, 2);
+    // The merge drains equal keys run by run, in run order.
+    std::stable_sort(
+        expected.begin(), expected.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    ASSERT_OK_AND_ASSIGN(auto stream, sorter.Finish());
+    ASSERT_OK_AND_ASSIGN(Entries got, Drain(stream.get()));
+    EXPECT_EQ(got, expected);
+  }
+}
+
+TEST(ExternalSorterTest, CorruptRunLengthIsCorruptionWithinTheFileSize) {
+  // A 1 MiB run whose second entry claims a 0xFFFFFFF0-byte key: the
+  // reader must hit EOF and report Corruption, not allocate the length
+  // the run claims.
+  TempDir dir("sorter9");
+  const std::string path = dir.file("corrupt.sort");
+  std::string run;
+  PutVarint32(&run, 3);
+  run.append("key");
+  PutVarint32(&run, 7);
+  run.append("payload");
+  PutVarint32(&run, 0xFFFFFFF0u);
+  run.append((1u << 20) - run.size(), 'x');
+  ASSERT_OK(WriteStringToFile(path, run));
+
+  struct rusage before;
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+  ASSERT_OK_AND_ASSIGN(auto stream, MergeSortedRuns({path}, {}));
+  ASSERT_TRUE(stream->Valid());
+  EXPECT_EQ(stream->key(), "key");
+  Status st = stream->Next();
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  struct rusage after;
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+  // ru_maxrss is in KiB on Linux.
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 << 10);
 }
 
 // ---------------- B+Tree ----------------

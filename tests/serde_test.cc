@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include "common/random.h"
 #include "serde/key_codec.h"
@@ -61,6 +63,31 @@ TEST(ValueTest, HashConsistentWithEquality) {
   }
   EXPECT_EQ(Value::Str("abc").Hash(), Value::Str("abc").Hash());
   EXPECT_NE(Value::Str("abc").Hash(), Value::Str("abd").Hash());
+}
+
+TEST(ValueTest, F64HashIsDefinedOutsideTheI64Range) {
+  // Hash() picks a map output key's partition. A double with no i64
+  // twin hashes by its bits, and the cast that looks for the twin must
+  // not run on it (-fsanitize=float-cast-overflow reports it if it
+  // does).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double two63 = 0x1p63;
+  for (double d : {nan, inf, -inf, 1e300, -1e300, two63, -two63, -0.0}) {
+    SCOPED_TRACE(d);
+    EXPECT_EQ(Value::F64(d).Hash(), Value::F64(d).Hash());
+  }
+  // Integral doubles in range still hash like their i64 twin.
+  EXPECT_EQ(Value::F64(3.0).Hash(), Value::I64(3).Hash());
+  EXPECT_EQ(Value::F64(-0.0).Hash(), Value::I64(0).Hash());
+  EXPECT_EQ(Value::F64(-two63).Hash(),
+            Value::I64(std::numeric_limits<int64_t>::min()).Hash());
+  // 2^63 has none.
+  EXPECT_NE(Value::F64(two63).Hash(),
+            Value::I64(std::numeric_limits<int64_t>::min()).Hash());
+  EXPECT_NE(Value::F64(two63).Hash(),
+            Value::I64(std::numeric_limits<int64_t>::max()).Hash());
+  EXPECT_NE(Value::F64(inf).Hash(), Value::F64(-inf).Hash());
 }
 
 TEST(ValueTest, ListCompareLexicographic) {
@@ -262,6 +289,19 @@ TEST(OrderedKeyTest, Roundtrip) {
     EXPECT_EQ(out.Compare(v), 0) << v.ToString();
     EXPECT_EQ(out.kind(), v.kind()) << v.ToString();
   }
+}
+
+TEST(OrderedKeyTest, StrKeyBorrowsItsInput) {
+  const std::string text(40, 'k');  // longer than an inline string
+  std::string buf;
+  ASSERT_OK(EncodeOrderedKey(Value::Str(text), &buf));
+  Value out;
+  ASSERT_OK(DecodeOrderedKey(buf, &out));
+  ASSERT_TRUE(out.is_borrowed_str());
+  EXPECT_EQ(out.str().data(), buf.data() + 1);  // after the rank byte
+  const Value owned = out.ToOwned();
+  buf.assign(buf.size(), 'x');
+  EXPECT_EQ(owned.str(), text);
 }
 
 TEST(OrderedKeyTest, RejectsNonScalars) {

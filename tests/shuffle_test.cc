@@ -14,6 +14,9 @@
 
 #include "common/faulty_env.h"
 #include "common/random.h"
+#include "common/strings.h"
+#include "mril/assembler.h"
+#include "mril/vm.h"
 #include "obs/metrics.h"
 #include "serde/key_codec.h"
 #include "serde/record_codec.h"
@@ -187,14 +190,17 @@ TEST(GroupIteratorTest, GroupsKeysAndSortsValuesCanonically) {
   ASSERT_OK(mapper->Seal());
   ASSERT_OK_AND_ASSIGN(auto stream, shuffle.FinishPartition(0));
   GroupIterator groups(stream.get());
-  Value key;
-  ValueList values;
+  Value key, values;
+  const ValueList* storage = nullptr;
   int64_t expected_key = 0;
   while (true) {
     ASSERT_OK_AND_ASSIGN(bool more, groups.Next(&key, &values));
     if (!more) break;
     EXPECT_EQ(key.i64(), expected_key);
-    ASSERT_EQ(values.size(), 5u);
+    // Nothing else holds the list, so every group reuses its storage.
+    if (storage == nullptr) storage = &values.list();
+    EXPECT_EQ(&values.list(), storage);
+    ASSERT_EQ(values.list().size(), 5u);
     // Values arrive in canonical (encoded-bytes) order, regardless of
     // the scrambled insertion order above.
     std::vector<std::string> expected_encoded;
@@ -203,11 +209,165 @@ TEST(GroupIteratorTest, GroupsKeysAndSortsValuesCanonically) {
     }
     std::sort(expected_encoded.begin(), expected_encoded.end());
     for (int v = 0; v < 5; ++v) {
-      EXPECT_EQ(Payload(values[v].i64()), expected_encoded[v]);
+      EXPECT_EQ(Payload(values.list()[v].i64()), expected_encoded[v]);
     }
     ++expected_key;
   }
   EXPECT_EQ(expected_key, 40);
+}
+
+// A reduce that keeps group strings past their group: it stores the
+// key and the first value in members and emits them one group later,
+// puts each values list into a hashtable and emits it from there one
+// group later, and emits the values list itself.
+constexpr char kRetainingReduce[] = R"(
+.program retaining-reduce
+.value_schema k:str,v:str
+.member prev_key str:"none"
+.member prev_first str:"none"
+.member table null
+.member groups i64:0
+.func map
+  load_param 1
+  get_field k
+  load_param 1
+  get_field v
+  emit
+  return
+.endfunc
+.func reduce
+  load_member groups
+  load_const i64:0
+  cmp_eq
+  jmp_if_true first
+  load_member prev_key
+  load_member prev_first
+  emit
+  load_member prev_key
+  load_member table
+  load_member prev_key
+  call ht.get
+  emit
+  jmp body
+first:
+  call ht.new
+  store_member table
+body:
+  load_member table
+  load_param 0
+  load_param 1
+  call ht.put
+  pop
+  load_param 0
+  store_member prev_key
+  load_param 1
+  load_const i64:0
+  call list.get
+  store_member prev_first
+  load_param 0
+  load_param 1
+  emit
+  load_member groups
+  load_const i64:1
+  add
+  store_member groups
+  return
+.endfunc
+)";
+
+// Runs the reduce over (key, values) groups, retaining every emitted
+// pair until `render` turns them into text.
+class RetainingRun {
+ public:
+  explicit RetainingRun(const mril::Program* program) : vm_(program) {
+    vm_.set_emit_sink([this](const Value& k, const Value& v) {
+      pairs_.emplace_back(k, v);
+      return Status::OK();
+    });
+  }
+  Status Reduce(const Value& key, const Value& values) {
+    return vm_.InvokeReduce(key, values);
+  }
+  std::vector<std::string> Render() const {
+    std::vector<std::string> out;
+    for (const auto& [k, v] : pairs_) {
+      out.push_back(k.ToString() + " -> " + v.ToString());
+    }
+    return out;
+  }
+
+ private:
+  mril::VmInstance vm_;
+  std::vector<std::pair<Value, Value>> pairs_;
+};
+
+// Reduce parameters borrow the iterator's group buffers, which the
+// next group overwrites in place (every key and every long value has
+// the same length). Whatever the reduce keeps — members, hashtable
+// entries, emitted pairs held by the sink — must still read as its own
+// group, exactly as when the same reduce runs over owned values. Odd
+// groups have short (inline) values only, so their emitted list shares
+// the group list's storage, which the next group must then not reuse.
+TEST(GroupIteratorTest, BorrowedGroupsRunLikeOwned) {
+  ASSERT_OK_AND_ASSIGN(mril::Program program,
+                       mril::AssembleProgram(kRetainingReduce));
+  constexpr int kGroups = 30;
+  constexpr int kValues = 4;
+  auto key_of = [](int g) { return StrPrintf("group-key-%030d", g); };
+  auto value_of = [](int g, int v) {
+    return g % 2 == 0
+               ? StrPrintf("value-%02d-%02d-of-a-long-borrowed-str", g, v)
+               : StrPrintf("short-%02d-%d", g, v);
+  };
+  TempDir dir("shuffle-borrow");
+  Shuffle::Options opts;
+  opts.temp_dir = dir.path();
+  opts.num_partitions = 1;
+  Shuffle shuffle(opts);
+  auto mapper = shuffle.NewMapper();
+  for (int v = kValues - 1; v >= 0; --v) {
+    for (int g = kGroups - 1; g >= 0; --g) {
+      std::string key, payload;
+      ASSERT_OK(EncodeOrderedKey(Value::Str(key_of(g)), &key));
+      ASSERT_OK(EncodeValue(Value::Str(value_of(g, v)), &payload));
+      ASSERT_OK(mapper->Add(0, key, payload));
+    }
+  }
+  ASSERT_OK(mapper->Seal());
+
+  RetainingRun borrowed(&program);
+  std::vector<std::string> from_borrowed;
+  {
+    ASSERT_OK_AND_ASSIGN(auto stream, shuffle.FinishPartition(0));
+    GroupIterator groups(stream.get());
+    Value key, values;
+    int g = 0;
+    while (true) {
+      ASSERT_OK_AND_ASSIGN(bool more, groups.Next(&key, &values));
+      if (!more) break;
+      // The strings really are views into the group buffers.
+      ASSERT_TRUE(key.is_borrowed_str());
+      ASSERT_EQ(values.list()[0].is_borrowed_str(), g % 2 == 0);
+      ASSERT_OK(borrowed.Reduce(key, values));
+      ++g;
+    }
+    ASSERT_EQ(g, kGroups);
+    // Rendered while the buffers still exist: a view that dangles
+    // reads the last group's bytes.
+    from_borrowed = borrowed.Render();
+  }
+
+  RetainingRun owned(&program);
+  for (int g = 0; g < kGroups; ++g) {
+    ValueList values;
+    for (int v = 0; v < kValues; ++v) {
+      values.push_back(Value::Str(value_of(g, v)));
+    }
+    ASSERT_OK(owned.Reduce(Value::Str(key_of(g)), Value::List(values)));
+  }
+  const std::vector<std::string> from_owned = owned.Render();
+  EXPECT_EQ(from_owned.size(), 1u + 3u * (kGroups - 1));
+  EXPECT_EQ(from_borrowed, from_owned);
 }
 
 // ---------------- fault injection at every spill/merge/seal site ----
