@@ -69,7 +69,6 @@ exec::JobConfig ManimalSystem::MakeJobConfig(
   config.sort_buffer_bytes = options_.sort_buffer_bytes;
   config.max_task_attempts = options_.max_task_attempts;
   config.retry_backoff_ms = options_.retry_backoff_ms;
-  config.enable_speculation = options_.enable_speculation;
   config.output_path = output_path;
   config.temp_dir = FreshTempDir("job");
   // EXPLAIN ANALYZE needs the per-task stats and the per-record

@@ -51,7 +51,6 @@ class ManimalSystem {
     // exec::JobConfig and docs/testing.md).
     int max_task_attempts = 4;
     double retry_backoff_ms = 1.0;
-    bool enable_speculation = true;
 
     // ---- EXPLAIN / EXPLAIN ANALYZE (docs/observability.md) ----
     // kPlan: SubmitOutcome::explain carries the optimizer's full

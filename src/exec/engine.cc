@@ -4,9 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <condition_variable>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -215,23 +212,29 @@ class OutputWriter {
 
 // One task attempt's private output file: self-describing Value-
 // encoded (key, value) pairs followed by a fixed64 pair count. The
-// attempt writes it at an attempt-unique path; committing the task
-// renames it to the canonical part path, and the engine concatenates
-// the committed parts (in task order) into the job output after the
-// phase barrier. This is what makes task outputs idempotent: a
-// retried or speculative duplicate attempt can never contribute
-// twice, and a torn attempt file is never visible at a canonical
-// path.
+// attempt writes it at `<part path>.tmp`; Commit() seals it and
+// renames it onto the part path, and the engine concatenates the
+// committed parts (in task order) into the job output after the phase
+// barrier. A PartFile destroyed uncommitted (its attempt failed)
+// deletes its temp file, so a retried attempt can never contribute
+// twice and a torn attempt file is never visible at a part path.
 class PartFile {
  public:
   static constexpr size_t kChunkBytes = 256u << 10;
 
-  static Result<std::unique_ptr<PartFile>> Create(
-      const std::string& path) {
+  static Result<std::unique_ptr<PartFile>> Create(std::string path) {
+    std::string temp_path = path + ".tmp";
     MANIMAL_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> f,
-                             WritableFile::Create(path));
-    return std::unique_ptr<PartFile>(new PartFile(std::move(f)));
+                             WritableFile::Create(temp_path));
+    return std::unique_ptr<PartFile>(
+        new PartFile(std::move(path), std::move(temp_path), std::move(f)));
   }
+
+  ~PartFile() {
+    if (!committed_) (void)RemoveFileIfExists(temp_path_);
+  }
+  PartFile(const PartFile&) = delete;
+  PartFile& operator=(const PartFile&) = delete;
 
   // The emit hot path encodes key/value bytes directly into buffer()
   // (no intermediate copy) and then reports the pair.
@@ -242,20 +245,28 @@ class PartFile {
     return Status::OK();
   }
 
-  Status Finish() {
+  // Seals the temp file (the last chunk and the pair-count footer) and
+  // renames it onto the part path.
+  Status Commit() {
     MANIMAL_RETURN_IF_ERROR(FlushBuffer());
     std::string footer;
     PutFixed64(&footer, num_pairs_);
     MANIMAL_RETURN_IF_ERROR(file_->Append(footer));
-    return file_->Close();
+    MANIMAL_RETURN_IF_ERROR(file_->Close());
+    MANIMAL_RETURN_IF_ERROR(RenameFile(temp_path_, path_));
+    committed_ = true;
+    return Status::OK();
   }
 
   uint64_t num_pairs() const { return num_pairs_; }
   uint64_t payload_bytes() const { return payload_bytes_ + buf_.size(); }
 
  private:
-  explicit PartFile(std::unique_ptr<WritableFile> f)
-      : file_(std::move(f)) {}
+  PartFile(std::string path, std::string temp_path,
+           std::unique_ptr<WritableFile> f)
+      : path_(std::move(path)),
+        temp_path_(std::move(temp_path)),
+        file_(std::move(f)) {}
 
   Status FlushBuffer() {
     if (buf_.empty()) return Status::OK();
@@ -265,10 +276,13 @@ class PartFile {
     return Status::OK();
   }
 
+  std::string path_;
+  std::string temp_path_;
   std::unique_ptr<WritableFile> file_;
   std::string buf_;
   uint64_t num_pairs_ = 0;
   uint64_t payload_bytes_ = 0;
+  bool committed_ = false;
 };
 
 struct PartData {
@@ -291,15 +305,10 @@ Result<PartData> ReadPartFile(const std::string& path) {
   return part;
 }
 
-int64_t SteadyNowNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-// Runs one job: input planning, the map phase (with per-task retry
-// chains and speculative duplicates), the shuffle barrier, the reduce
-// phase (with retry), part assembly, and the final output commit.
+// Runs one job: input planning, the map phase, the shuffle barrier,
+// the reduce phase, part assembly, and the final output commit. Every
+// task is a retry loop of attempts, and each attempt commits its own
+// output.
 class JobRunner {
  public:
   JobRunner(const ExecutionDescriptor& descriptor, JobConfig cfg)
@@ -311,47 +320,19 @@ class JobRunner {
   Result<JobResult> Run();
 
  private:
-  // Per-task coordination between retry chains, speculative twins,
-  // and the speculation monitor.
-  struct TaskControl {
-    // The commit gate: exactly one attempt of one chain holds it
-    // while renaming/sealing; released again if that commit fails.
-    std::atomic<bool> committed{false};
-    // Some attempt committed successfully; all other chains stand down.
-    std::atomic<bool> done{false};
-    // The task reached a terminal state (success or budget
-    // exhaustion); used by the monitor's exit condition.
-    std::atomic<bool> resolved{false};
-    std::atomic<bool> speculated{false};
-    // Steady-clock start of the first chain (0 = not started yet).
-    std::atomic<int64_t> started_ns{0};
-  };
-
-  // The fallible work of one attempt returns a commit closure; the
-  // chain runs it only if this attempt wins the task's commit gate.
-  using CommitFn = std::function<Status()>;
-  using AttemptFn = std::function<Result<CommitFn>(int chain, int attempt)>;
-
   Status Prepare();
   Status ResolveBackend();
-  Status RunMapPhase();
-  Status RunReducePhase();
+  Status RunPhase(char kind, int num_tasks);
   Status AssembleOutput(char kind, int num_parts);
-  void RunChain(TaskControl* ctl, char kind, int index, int chain,
-                const AttemptFn& attempt_fn);
-  Result<CommitFn> MapAttempt(int split_index, int chain, int attempt);
-  Result<CommitFn> ReduceAttempt(int partition, int chain, int attempt);
-  void SubmitMapChain(ThreadPool* pool, int split_index, int chain);
-  void MonitorMapPhase(ThreadPool* pool);
+  void RunTask(char kind, int index);
+  Status MapAttempt(int split_index, int attempt);
+  Status ReduceAttempt(int partition, int attempt);
   void Backoff(int attempt) const;
   void RecordTaskStat(const TaskStat& stat,
                       const std::vector<uint64_t>& interval_matches);
 
   std::string PartPath(char kind, int idx) const {
     return cfg_.temp_dir + "/" + StrPrintf("part-%c%04d", kind, idx);
-  }
-  std::string AttemptPath(char kind, int idx, int chain) const {
-    return PartPath(kind, idx) + StrPrintf(".c%d.tmp", chain);
   }
 
   const ExecutionDescriptor& descriptor_;
@@ -365,26 +346,13 @@ class JobRunner {
   std::unique_ptr<OutputWriter> out_;
   ErrorLatch errors_;
 
-  std::deque<TaskControl> map_tasks_;
-  std::deque<TaskControl> reduce_tasks_;
   std::vector<uint64_t> partition_groups_;
-
-  // Completed map-chain durations feed the speculation threshold.
-  std::mutex durations_mu_;
-  std::vector<double> map_chain_seconds_;
-
-  // Wakes the speculation monitor when a map chain finishes, so the
-  // phase ends promptly without a tight polling loop stealing CPU
-  // from the workers.
-  std::mutex monitor_mu_;
-  std::condition_variable monitor_cv_;
 
   std::atomic<uint64_t> input_records_{0}, input_bytes_{0},
       map_invocations_{0}, map_output_records_{0}, map_output_bytes_{0},
       map_output_filtered_{0}, log_messages_{0};
   std::atomic<uint64_t> bytes_decoded_{0}, blocks_skipped_{0};
-  std::atomic<uint64_t> task_retries_{0}, speculative_launches_{0},
-      tasks_failed_{0};
+  std::atomic<uint64_t> task_retries_{0}, tasks_failed_{0};
 
   // ---- native backend (JobConfig::backend, docs/mril.md) ----
   // Resolved in Prepare(): non-null kernel_ means map tasks run the
@@ -419,8 +387,10 @@ void JobRunner::Backoff(int attempt) const {
       std::chrono::microseconds(static_cast<int64_t>(ms * 1000)));
 }
 
-void JobRunner::RunChain(TaskControl* ctl, char kind, int index,
-                         int chain, const AttemptFn& attempt_fn) {
+// Attempts one task until an attempt commits: an IOError (transient,
+// e.g. an injected fault) is retried after a backoff while the budget
+// lasts; any other error fails the job at once.
+void JobRunner::RunTask(char kind, int index) {
   auto& metrics = obs::MetricsRegistry::Get();
   auto& journal = obs::Journal::Get();
   const std::string task = TaskId(kind, index);
@@ -429,21 +399,17 @@ void JobRunner::RunChain(TaskControl* ctl, char kind, int index,
   const int max_attempts = std::max(1, cfg_.max_task_attempts);
   Status last;
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    if (ctl->done.load(std::memory_order_acquire) || errors_.Failed()) {
-      return;
-    }
+    if (errors_.Failed()) return;
     if (attempt > 1) {
       task_retries_.fetch_add(1, std::memory_order_relaxed);
       metrics.GetCounter("engine.task_retries")->Increment();
       obs::TraceInstant("engine.task_retry", "exec",
                         {{"task", task},
-                         {"chain", std::to_string(chain)},
                          {"attempt", std::to_string(attempt)},
                          {"error", last.ToString()}});
       journal.Event("task_retry")
           .Str("job", cfg_.job_id)
           .Str("task", task)
-          .Int("chain", chain)
           .Int("attempt", attempt)
           .Str("error", last.ToString())
           .Emit();
@@ -453,67 +419,38 @@ void JobRunner::RunChain(TaskControl* ctl, char kind, int index,
           .Str("job", cfg_.job_id)
           .Str("task", task)
           .Str("backend", kind == 'm' ? map_backend_name_ : "vm")
-          .Int("chain", chain)
-          .Bool("speculative", chain > 0)
           .Emit();
     }
-    // One span per attempt (the enclosing map_task / reduce_task span
-    // covers the whole chain): retries and speculative twins become
+    // One span per attempt inside the task's span, so retries show as
     // separate slices on the trace timeline.
     obs::ScopedSpan attempt_span(attempt_span_name, "exec");
     attempt_span.AddArg("task", task);
-    attempt_span.AddArg("chain", std::to_string(chain));
     attempt_span.AddArg("attempt", std::to_string(attempt));
-    Result<CommitFn> commit = [&]() -> Result<CommitFn> {
+    {
       // Faults are injected only inside armed scopes: everything a
       // retry can recover from, nothing it can't.
       ScopedFaultArming arm;
-      return attempt_fn(chain, attempt);
-    }();
-    if (!commit.ok()) {
-      last = commit.status();
-      if (last.IsIOError()) continue;  // transient: retry
-      break;                           // semantic failure: no retry
+      last = kind == 'm' ? MapAttempt(index, attempt)
+                         : ReduceAttempt(index, attempt);
     }
-    if (ctl->done.load(std::memory_order_acquire)) return;
-    if (ctl->committed.exchange(true, std::memory_order_acq_rel)) {
-      // A speculative twin holds (or completed) the commit; discard.
-      return;
-    }
-    Status commit_status;
-    {
-      ScopedFaultArming arm;
-      commit_status = (*commit)();
-    }
-    if (commit_status.ok()) {
-      ctl->done.store(true, std::memory_order_release);
-      ctl->resolved.store(true, std::memory_order_release);
+    if (last.ok()) {
       journal.Event("task_commit")
           .Str("job", cfg_.job_id)
           .Str("task", task)
-          .Int("chain", chain)
           .Int("attempt", attempt)
           .Emit();
       return;
     }
-    // Release the gate so the twin (if any) may commit instead.
-    ctl->committed.store(false, std::memory_order_release);
-    last = commit_status;
-    if (!last.IsIOError()) break;
+    if (!last.IsIOError()) break;  // semantic failure: no retry
   }
-  if (!ctl->done.load(std::memory_order_acquire) &&
-      !ctl->resolved.exchange(true, std::memory_order_acq_rel)) {
-    tasks_failed_.fetch_add(1, std::memory_order_relaxed);
-    metrics.GetCounter("engine.tasks_failed")->Increment();
-    journal.Event("task_failed")
-        .Str("job", cfg_.job_id)
-        .Str("task", task)
-        .Int("chain", chain)
-        .Str("error", last.ToString())
-        .Emit();
-    errors_.Set(last.ok() ? Status::Internal("task failed without status")
-                          : last);
-  }
+  tasks_failed_.fetch_add(1, std::memory_order_relaxed);
+  metrics.GetCounter("engine.tasks_failed")->Increment();
+  journal.Event("task_failed")
+      .Str("job", cfg_.job_id)
+      .Str("task", task)
+      .Str("error", last.ToString())
+      .Emit();
+  errors_.Set(last);
 }
 
 void JobRunner::RecordTaskStat(
@@ -526,52 +463,28 @@ void JobRunner::RecordTaskStat(
   }
 }
 
-Result<JobRunner::CommitFn> JobRunner::MapAttempt(int split_index,
-                                                  int chain,
-                                                  int attempt) {
-  // Everything an attempt produces lives here until the commit
-  // decision; an uncommitted attempt cleans up after itself (the
-  // unsealed Mapper removes its spill runs, the attempt part file is
-  // deleted).
-  struct AttemptState {
-    std::unique_ptr<Shuffle::Mapper> mapper;
-    std::unique_ptr<PartFile> part;
-    std::string attempt_path;
-    std::string canonical_path;
-    bool committed = false;
-    uint64_t records = 0;
-    uint64_t map_invocations = 0;
-    uint64_t output_records = 0;
-    uint64_t output_bytes = 0;
-    uint64_t output_filtered = 0;
-    uint64_t logs = 0;
-    uint64_t vm_instructions = 0;
-    uint64_t native_bailouts = 0;
-    bool used_native = false;
-    double seconds = 0;
-    std::vector<uint64_t> interval_matches;
-    ~AttemptState() {
-      if (!committed && !attempt_path.empty()) {
-        (void)RemoveFileIfExists(attempt_path);
-      }
-    }
-  };
-  auto state = std::make_shared<AttemptState>();
+Status JobRunner::MapAttempt(int split_index, int attempt) {
+  // Everything the attempt produces stays private until the commit at
+  // its end; a failed attempt leaves nothing behind (the unsealed
+  // Mapper removes its spill runs, the uncommitted part file deletes
+  // itself).
   Stopwatch attempt_watch;
   MANIMAL_ASSIGN_OR_RETURN(std::unique_ptr<InputSplit> split,
                            plan_->OpenSplit(split_index));
+  std::unique_ptr<Shuffle::Mapper> mapper;
+  std::unique_ptr<PartFile> part;
   if (has_reduce_) {
-    state->mapper = shuffle_->NewMapper();
+    mapper = shuffle_->NewMapper();
   } else {
-    state->attempt_path = AttemptPath('m', split_index, chain);
-    state->canonical_path = PartPath('m', split_index);
-    MANIMAL_ASSIGN_OR_RETURN(state->part,
-                             PartFile::Create(state->attempt_path));
+    MANIMAL_ASSIGN_OR_RETURN(part,
+                             PartFile::Create(PartPath('m', split_index)));
   }
 
+  uint64_t records = 0, output_records = 0, output_bytes = 0,
+           output_filtered = 0, logs = 0, native_bailouts = 0;
   const int num_partitions = cfg_.num_partitions;
   std::string key_scratch, value_scratch;
-  auto emit_pair = [&, state](const Value& k, const Value& v) -> Status {
+  auto emit_pair = [&](const Value& k, const Value& v) -> Status {
     // Appendix E: delete pairs the reduce provably discards.
     if (descriptor_.reduce_key_filter.has_value()) {
       for (const analyzer::SelectTerm& term :
@@ -583,29 +496,29 @@ Result<JobRunner::CommitFn> JobRunner::MapAttempt(int split_index,
           return Status::Internal("non-boolean reduce filter term");
         }
         if (verdict.bool_value() != term.polarity) {
-          ++state->output_filtered;
+          ++output_filtered;
           return Status::OK();
         }
       }
     }
-    ++state->output_records;
+    ++output_records;
     if (has_reduce_) {
       key_scratch.clear();
       MANIMAL_RETURN_IF_ERROR(EncodeOrderedKey(k, &key_scratch));
       value_scratch.clear();
       MANIMAL_RETURN_IF_ERROR(EncodeValue(v, &value_scratch));
-      state->output_bytes += key_scratch.size() + value_scratch.size();
+      output_bytes += key_scratch.size() + value_scratch.size();
       int p = static_cast<int>(k.Hash() % num_partitions);
       // Lock-free: this attempt's private partition buffer.
-      return state->mapper->Add(p, key_scratch, value_scratch);
+      return mapper->Add(p, key_scratch, value_scratch);
     }
     // Map-only: encode straight into the part file's chunk buffer.
-    std::string* buf = state->part->buffer();
+    std::string* buf = part->buffer();
     const size_t before = buf->size();
     MANIMAL_RETURN_IF_ERROR(EncodeValue(k, buf));
     MANIMAL_RETURN_IF_ERROR(EncodeValue(v, buf));
-    state->output_bytes += buf->size() - before;
-    return state->part->PairAdded();
+    output_bytes += buf->size() - before;
+    return part->PairAdded();
   };
 
   // The VM: the sole map executor on the vm backend, the per-record
@@ -617,7 +530,7 @@ Result<JobRunner::CommitFn> JobRunner::MapAttempt(int split_index,
   auto ensure_vm = [&]() -> mril::VmInstance* {
     if (vm == nullptr) {
       vm = std::make_unique<mril::VmInstance>(&program_, vm_options);
-      vm->set_log_sink([state](const Value&) { ++state->logs; });
+      vm->set_log_sink([&logs](const Value&) { ++logs; });
       vm->set_emit_sink(emit_pair);
     }
     return vm.get();
@@ -632,7 +545,7 @@ Result<JobRunner::CommitFn> JobRunner::MapAttempt(int split_index,
   // it lands in (the observed-selectivity side of the drift report).
   const size_t num_observe_intervals =
       observe_ ? descriptor_.observe_intervals.size() : 0;
-  if (observe_) state->interval_matches.assign(num_observe_intervals, 0);
+  std::vector<uint64_t> interval_matches(num_observe_intervals, 0);
 
   int64_t key = 0;
   Value value;
@@ -642,14 +555,14 @@ Result<JobRunner::CommitFn> JobRunner::MapAttempt(int split_index,
     if (errors_.Failed()) {
       return Status::Internal("map task aborted: job already failed");
     }
-    ++state->records;
+    ++records;
     if (observe_) {
       Result<Value> index_key = analyzer::EvalExpr(
           descriptor_.observe_expr, Value::I64(key), value);
       if (index_key.ok()) {
         for (size_t i = 0; i < num_observe_intervals; ++i) {
           if (descriptor_.observe_intervals[i].Contains(*index_key)) {
-            ++state->interval_matches[i];
+            ++interval_matches[i];
           }
         }
       }
@@ -664,7 +577,7 @@ Result<JobRunner::CommitFn> JobRunner::MapAttempt(int split_index,
           kernel_->Run(Value::I64(key), value, &kernel_scratch,
                        &out_key, &out_value);
       if (outcome == codegen::KernelOutcome::kBailout) {
-        ++state->native_bailouts;
+        ++native_bailouts;
         MANIMAL_RETURN_IF_ERROR(
             ensure_vm()->InvokeMap(Value::I64(key), value));
       } else {
@@ -676,115 +589,68 @@ Result<JobRunner::CommitFn> JobRunner::MapAttempt(int split_index,
     } else {
       MANIMAL_RETURN_IF_ERROR(vm->InvokeMap(Value::I64(key), value));
     }
-    if (cfg_.debug_map_record_sleep_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          cfg_.debug_map_record_sleep_ms));
-    }
   }
-  if (state->part != nullptr) {
-    MANIMAL_RETURN_IF_ERROR(state->part->Finish());
-  }
-  state->used_native = use_native;
-  state->map_invocations =
-      kernel_handled +
-      (vm != nullptr ? static_cast<uint64_t>(vm->map_invocations()) : 0);
-  state->vm_instructions =
-      vm != nullptr ? static_cast<uint64_t>(vm->total_steps()) : 0;
-  state->seconds = attempt_watch.ElapsedSeconds();
-  const uint64_t split_bytes = split->bytes_read();
-  const uint64_t split_decoded = split->bytes_decoded();
-  const uint64_t split_skipped = split->blocks_skipped();
+  const double seconds = attempt_watch.ElapsedSeconds();
 
-  return CommitFn([this, state, split_bytes, split_decoded, split_skipped,
-                   split_index, chain, attempt]() -> Status {
-    if (state->part != nullptr) {
-      MANIMAL_RETURN_IF_ERROR(
-          RenameFile(state->attempt_path, state->canonical_path));
-    }
-    // Map/reduce barrier handoff: sorted runs + in-memory tails move
-    // to the partitions in one locked step. No IO happens here, so a
-    // claimed commit cannot fail past this point.
-    if (state->mapper != nullptr) {
-      MANIMAL_RETURN_IF_ERROR(state->mapper->Seal());
-    }
-    state->committed = true;
-    input_records_.fetch_add(state->records, std::memory_order_relaxed);
-    input_bytes_.fetch_add(split_bytes, std::memory_order_relaxed);
-    bytes_decoded_.fetch_add(split_decoded, std::memory_order_relaxed);
-    blocks_skipped_.fetch_add(split_skipped, std::memory_order_relaxed);
-    map_invocations_.fetch_add(state->map_invocations,
-                               std::memory_order_relaxed);
-    map_output_records_.fetch_add(state->output_records,
-                                  std::memory_order_relaxed);
-    map_output_bytes_.fetch_add(state->output_bytes,
-                                std::memory_order_relaxed);
-    map_output_filtered_.fetch_add(state->output_filtered,
-                                   std::memory_order_relaxed);
-    log_messages_.fetch_add(state->logs, std::memory_order_relaxed);
-    if (state->used_native) {
-      native_tasks_.fetch_add(1, std::memory_order_relaxed);
-      native_bailouts_.fetch_add(state->native_bailouts,
+  // Commit: the Mapper hands its sorted runs and in-memory tails to the
+  // partitions in one locked step (no IO), or the part file seals and
+  // renames into place.
+  MANIMAL_RETURN_IF_ERROR(has_reduce_ ? mapper->Seal() : part->Commit());
+  input_records_.fetch_add(records, std::memory_order_relaxed);
+  input_bytes_.fetch_add(split->bytes_read(), std::memory_order_relaxed);
+  bytes_decoded_.fetch_add(split->bytes_decoded(),
+                           std::memory_order_relaxed);
+  blocks_skipped_.fetch_add(split->blocks_skipped(),
+                            std::memory_order_relaxed);
+  map_invocations_.fetch_add(
+      kernel_handled +
+          (vm != nullptr ? static_cast<uint64_t>(vm->map_invocations()) : 0),
+      std::memory_order_relaxed);
+  map_output_records_.fetch_add(output_records, std::memory_order_relaxed);
+  map_output_bytes_.fetch_add(output_bytes, std::memory_order_relaxed);
+  map_output_filtered_.fetch_add(output_filtered,
                                  std::memory_order_relaxed);
-      obs::MetricsRegistry::Get()
-          .GetCounter("engine.native_tasks")
-          ->Increment();
-    }
-    if (cfg_.collect_task_stats) {
-      TaskStat stat;
-      stat.kind = 'm';
-      stat.index = split_index;
-      stat.chain = chain;
-      stat.attempt = attempt;
-      stat.records_in = state->records;
-      stat.records_out = state->output_records;
-      stat.bytes_read = split_bytes;
-      stat.bytes_written = state->output_bytes;
-      stat.vm_instructions = state->vm_instructions;
-      stat.seconds = state->seconds;
-      RecordTaskStat(stat, state->interval_matches);
-    }
-    return Status::OK();
-  });
+  log_messages_.fetch_add(logs, std::memory_order_relaxed);
+  if (use_native) {
+    native_tasks_.fetch_add(1, std::memory_order_relaxed);
+    native_bailouts_.fetch_add(native_bailouts, std::memory_order_relaxed);
+    obs::MetricsRegistry::Get().GetCounter("engine.native_tasks")->Increment();
+  }
+  if (cfg_.collect_task_stats) {
+    TaskStat stat;
+    stat.kind = 'm';
+    stat.index = split_index;
+    stat.attempt = attempt;
+    stat.records_in = records;
+    stat.records_out = output_records;
+    stat.bytes_read = split->bytes_read();
+    stat.bytes_written = output_bytes;
+    stat.vm_instructions =
+        vm != nullptr ? static_cast<uint64_t>(vm->total_steps()) : 0;
+    stat.seconds = seconds;
+    RecordTaskStat(stat, interval_matches);
+  }
+  return Status::OK();
 }
 
-Result<JobRunner::CommitFn> JobRunner::ReduceAttempt(int partition,
-                                                     int chain,
-                                                     int attempt) {
-  struct AttemptState {
-    std::unique_ptr<PartFile> part;
-    std::string attempt_path;
-    std::string canonical_path;
-    bool committed = false;
-    uint64_t groups = 0;
-    uint64_t logs = 0;
-    uint64_t vm_instructions = 0;
-    double seconds = 0;
-    ~AttemptState() {
-      if (!committed && !attempt_path.empty()) {
-        (void)RemoveFileIfExists(attempt_path);
-      }
-    }
-  };
-  auto state = std::make_shared<AttemptState>();
+Status JobRunner::ReduceAttempt(int partition, int attempt) {
   Stopwatch attempt_watch;
-  state->attempt_path = AttemptPath('r', partition, chain);
-  state->canonical_path = PartPath('r', partition);
-
   std::unique_ptr<index::SortedStream> stream;
   {
     obs::ScopedSpan merge_span("shuffle.merge", "exec");
     MANIMAL_ASSIGN_OR_RETURN(stream, shuffle_->FinishPartition(partition));
   }
-  MANIMAL_ASSIGN_OR_RETURN(state->part,
-                           PartFile::Create(state->attempt_path));
+  MANIMAL_ASSIGN_OR_RETURN(std::unique_ptr<PartFile> part,
+                           PartFile::Create(PartPath('r', partition)));
 
+  uint64_t num_groups = 0, logs = 0;
   mril::VmInstance vm(&program_);
-  vm.set_log_sink([state](const Value&) { ++state->logs; });
-  vm.set_emit_sink([state](const Value& k, const Value& v) -> Status {
-    std::string* buf = state->part->buffer();
+  vm.set_log_sink([&logs](const Value&) { ++logs; });
+  vm.set_emit_sink([&part](const Value& k, const Value& v) -> Status {
+    std::string* buf = part->buffer();
     MANIMAL_RETURN_IF_ERROR(EncodeValue(k, buf));
     MANIMAL_RETURN_IF_ERROR(EncodeValue(v, buf));
-    return state->part->PairAdded();
+    return part->PairAdded();
   });
 
   // One key and one values list for the whole partition: the iterator
@@ -798,175 +664,49 @@ Result<JobRunner::CommitFn> JobRunner::ReduceAttempt(int partition,
     if (errors_.Failed()) {
       return Status::Internal("reduce task aborted: job already failed");
     }
-    ++state->groups;
+    ++num_groups;
     MANIMAL_RETURN_IF_ERROR(vm.InvokeReduce(key, values));
   }
-  MANIMAL_RETURN_IF_ERROR(state->part->Finish());
-  state->vm_instructions = vm.total_steps();
-  state->seconds = attempt_watch.ElapsedSeconds();
-
-  return CommitFn([this, state, partition, chain, attempt]() -> Status {
-    MANIMAL_RETURN_IF_ERROR(
-        RenameFile(state->attempt_path, state->canonical_path));
-    state->committed = true;
-    // Winner-only plain write; read after the phase barrier.
-    partition_groups_[partition] = state->groups;
-    log_messages_.fetch_add(state->logs, std::memory_order_relaxed);
-    if (cfg_.collect_task_stats) {
-      TaskStat stat;
-      stat.kind = 'r';
-      stat.index = partition;
-      stat.chain = chain;
-      stat.attempt = attempt;
-      stat.records_in = state->groups;
-      stat.records_out = state->part->num_pairs();
-      stat.bytes_written = state->part->payload_bytes();
-      stat.vm_instructions = state->vm_instructions;
-      stat.seconds = state->seconds;
-      RecordTaskStat(stat, {});
-    }
-    return Status::OK();
-  });
-}
-
-void JobRunner::SubmitMapChain(ThreadPool* pool, int split_index,
-                               int chain) {
-  pool->Submit([this, split_index, chain] {
-    TaskControl& ctl = map_tasks_[split_index];
-    if (ctl.done.load(std::memory_order_acquire) || errors_.Failed()) {
-      return;
-    }
-    obs::ScopedSpan task_span("map_task", "exec");
-    task_span.AddArg("split", std::to_string(split_index));
-    if (chain > 0) task_span.AddArg("speculative", "1");
-    int64_t zero = 0;
-    ctl.started_ns.compare_exchange_strong(zero, SteadyNowNanos(),
-                                           std::memory_order_relaxed);
-    Stopwatch chain_watch;
-    RunChain(&ctl, 'm', split_index, chain,
-             [this, split_index](int c, int attempt) {
-               return MapAttempt(split_index, c, attempt);
-             });
-    const double seconds = chain_watch.ElapsedSeconds();
-    {
-      std::lock_guard<std::mutex> lock(durations_mu_);
-      map_chain_seconds_.push_back(seconds);
-    }
-    auto& metrics = obs::MetricsRegistry::Get();
-    metrics.GetCounter("exec.map_tasks")->Increment();
-    metrics.GetHistogram("exec.map_task_seconds")->Record(seconds);
-    monitor_cv_.notify_all();
-  });
-}
-
-void JobRunner::MonitorMapPhase(ThreadPool* pool) {
-  const int num_tasks = plan_->num_splits();
-  auto& metrics = obs::MetricsRegistry::Get();
-  auto all_resolved = [&] {
-    for (const TaskControl& t : map_tasks_) {
-      if (!t.resolved.load(std::memory_order_acquire)) return false;
-    }
-    return true;
-  };
-  // Poll coarsely: speculation decisions only need resolution at the
-  // scale of the minimum straggler threshold, and a fine-grained
-  // polling loop steals CPU from the map workers themselves. Chain
-  // completions notify monitor_cv_, so phase exit is still prompt.
-  const double poll_seconds = std::min(
-      0.05, std::max(0.001, cfg_.speculation_min_seconds / 8));
-  const auto poll = std::chrono::microseconds(
-      static_cast<int64_t>(poll_seconds * 1e6));
-  while (!all_resolved() && !errors_.Failed()) {
-    if (cfg_.enable_speculation && num_tasks >= 2) {
-      double threshold = -1;
-      {
-        std::lock_guard<std::mutex> lock(durations_mu_);
-        const size_t completed = map_chain_seconds_.size();
-        if (completed >= std::max<size_t>(2, num_tasks / 2)) {
-          // p95 of completed chain durations.
-          std::vector<double> sorted = map_chain_seconds_;
-          std::sort(sorted.begin(), sorted.end());
-          const double p95 =
-              sorted[std::min(sorted.size() - 1,
-                              static_cast<size_t>(0.95 * sorted.size()))];
-          threshold = std::max(cfg_.speculation_min_seconds,
-                               cfg_.speculation_factor * p95);
-        }
-      }
-      if (threshold >= 0) {
-        const int64_t now = SteadyNowNanos();
-        for (int i = 0; i < num_tasks; ++i) {
-          TaskControl& ctl = map_tasks_[i];
-          const int64_t started =
-              ctl.started_ns.load(std::memory_order_relaxed);
-          if (started == 0 ||
-              ctl.resolved.load(std::memory_order_acquire)) {
-            continue;
-          }
-          const double elapsed =
-              static_cast<double>(now - started) * 1e-9;
-          if (elapsed >= threshold &&
-              !ctl.speculated.exchange(true,
-                                       std::memory_order_acq_rel)) {
-            speculative_launches_.fetch_add(1,
-                                            std::memory_order_relaxed);
-            metrics.GetCounter("engine.speculative_launches")
-                ->Increment();
-            obs::TraceInstant("engine.speculative_launch", "exec",
-                              {{"task", TaskId('m', i)},
-                               {"elapsed_s", StrPrintf("%.3f", elapsed)},
-                               {"threshold_s",
-                                StrPrintf("%.3f", threshold)}});
-            obs::Journal::Get()
-                .Event("speculative_launch")
-                .Str("job", cfg_.job_id)
-                .Str("task", TaskId('m', i))
-                .Time("elapsed_s", elapsed)
-                .Time("threshold_s", threshold)
-                .Emit();
-            SubmitMapChain(pool, i, /*chain=*/1);
-          }
-        }
-      }
-    }
-    std::unique_lock<std::mutex> lock(monitor_mu_);
-    monitor_cv_.wait_for(lock, poll, [&] {
-      return all_resolved() || errors_.Failed();
-    });
+  const double seconds = attempt_watch.ElapsedSeconds();
+  MANIMAL_RETURN_IF_ERROR(part->Commit());
+  // Each task writes only its own slot; read after the phase barrier.
+  partition_groups_[partition] = num_groups;
+  log_messages_.fetch_add(logs, std::memory_order_relaxed);
+  if (cfg_.collect_task_stats) {
+    TaskStat stat;
+    stat.kind = 'r';
+    stat.index = partition;
+    stat.attempt = attempt;
+    stat.records_in = num_groups;
+    stat.records_out = part->num_pairs();
+    stat.bytes_written = part->payload_bytes();
+    stat.vm_instructions = vm.total_steps();
+    stat.seconds = seconds;
+    RecordTaskStat(stat, {});
   }
+  return Status::OK();
 }
 
-Status JobRunner::RunMapPhase() {
-  obs::ScopedSpan map_phase_span("job.map_phase", "exec");
-  const int num_tasks = plan_->num_splits();
-  for (int i = 0; i < num_tasks; ++i) map_tasks_.emplace_back();
+// Runs a phase's tasks (kind 'm': one per split; 'r': one per
+// partition) on map_parallelism workers and waits for all of them.
+Status JobRunner::RunPhase(char kind, int num_tasks) {
+  const bool map = kind == 'm';
+  obs::ScopedSpan phase_span(map ? "job.map_phase" : "job.reduce_phase",
+                             "exec");
   ThreadPool pool(cfg_.map_parallelism);
   for (int i = 0; i < num_tasks; ++i) {
-    SubmitMapChain(&pool, i, /*chain=*/0);
-  }
-  MonitorMapPhase(&pool);
-  pool.Wait();
-  return errors_.First();
-}
-
-Status JobRunner::RunReducePhase() {
-  obs::ScopedSpan reduce_phase_span("job.reduce_phase", "exec");
-  const int num_partitions = cfg_.num_partitions;
-  partition_groups_.assign(num_partitions, 0);
-  for (int p = 0; p < num_partitions; ++p) reduce_tasks_.emplace_back();
-  ThreadPool pool(cfg_.map_parallelism);
-  for (int p = 0; p < num_partitions; ++p) {
-    pool.Submit([this, p] {
-      TaskControl& ctl = reduce_tasks_[p];
-      obs::ScopedSpan task_span("reduce_task", "exec");
-      task_span.AddArg("partition", std::to_string(p));
+    pool.Submit([this, kind, map, i] {
+      if (errors_.Failed()) return;
+      obs::ScopedSpan task_span(map ? "map_task" : "reduce_task", "exec");
+      task_span.AddArg(map ? "split" : "partition", std::to_string(i));
       Stopwatch task_watch;
-      RunChain(&ctl, 'r', p, /*chain=*/0, [this, p](int c, int attempt) {
-        return ReduceAttempt(p, c, attempt);
-      });
+      RunTask(kind, i);
       auto& metrics = obs::MetricsRegistry::Get();
-      metrics.GetCounter("exec.reduce_tasks")->Increment();
-      metrics.GetHistogram("exec.reduce_task_seconds")
+      metrics.GetCounter(map ? "exec.map_tasks" : "exec.reduce_tasks")
+          ->Increment();
+      metrics
+          .GetHistogram(map ? "exec.map_task_seconds"
+                            : "exec.reduce_task_seconds")
           ->Record(task_watch.ElapsedSeconds());
     });
   }
@@ -1119,7 +859,6 @@ Result<JobResult> JobRunner::Run() {
   // Pre-register the fault-handling counters so they are visible in
   // DumpMetricsJson() even for an entirely fault-free process.
   obs::MetricsRegistry::Get().GetCounter("engine.task_retries");
-  obs::MetricsRegistry::Get().GetCounter("engine.speculative_launches");
   obs::MetricsRegistry::Get().GetCounter("engine.tasks_failed");
   obs::MetricsRegistry::Get().GetCounter("engine.native_tasks");
   obs::MetricsRegistry::Get().GetCounter("engine.bytes_decoded");
@@ -1146,7 +885,7 @@ Result<JobResult> JobRunner::Run() {
   // ---------------- map phase ----------------
   result_.phase_breakdown["plan"].seconds = plan_watch.ElapsedSeconds();
   Stopwatch map_watch;
-  MANIMAL_RETURN_IF_ERROR(RunMapPhase());
+  MANIMAL_RETURN_IF_ERROR(RunPhase('m', plan_->num_splits()));
   result_.map_seconds = map_watch.ElapsedSeconds();
   result_.phase_breakdown["map"].seconds = result_.map_seconds;
 
@@ -1154,7 +893,8 @@ Result<JobResult> JobRunner::Run() {
   Stopwatch reduce_watch;
   uint64_t reduce_groups_total = 0;
   if (has_reduce_) {
-    MANIMAL_RETURN_IF_ERROR(RunReducePhase());
+    partition_groups_.assign(cfg_.num_partitions, 0);
+    MANIMAL_RETURN_IF_ERROR(RunPhase('r', cfg_.num_partitions));
     for (uint64_t groups : partition_groups_) {
       reduce_groups_total += groups;
     }
@@ -1187,7 +927,6 @@ Result<JobResult> JobRunner::Run() {
   result_.counters.log_messages = log_messages_.load();
   result_.counters.reduce_groups = reduce_groups_total;
   result_.counters.task_retries = task_retries_.load();
-  result_.counters.speculative_launches = speculative_launches_.load();
   result_.counters.tasks_failed = tasks_failed_.load();
   result_.counters.native_tasks = native_tasks_.load();
   result_.counters.native_bailout_records = native_bailouts_.load();
@@ -1240,8 +979,6 @@ Result<JobResult> JobRunner::Run() {
       .Uint("input_records", result_.counters.input_records)
       .Uint("output_records", result_.counters.output_records)
       .Uint("task_retries", result_.counters.task_retries)
-      .Uint("speculative_launches",
-            result_.counters.speculative_launches)
       .Uint("shuffle_spilled_runs",
             result_.counters.shuffle_spilled_runs)
       .Uint("bytes_decoded", result_.counters.bytes_decoded)

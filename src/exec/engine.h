@@ -43,7 +43,8 @@ std::optional<Backend> BackendFromName(std::string_view name);
 struct JobConfig {
   // Map-side parallelism (cluster "slots").
   int map_parallelism = 4;
-  // Reduce partitions; also reduce-side parallelism.
+  // Reduce partitions, one reduce task each. The reduce phase runs
+  // them on map_parallelism workers.
   int num_partitions = 4;
   // Scratch space for shuffle spills (required).
   std::string temp_dir;
@@ -78,29 +79,14 @@ struct JobConfig {
 
   // ---- fault handling (docs/testing.md) ----
   // Task-level retry budget: each map/reduce task is attempted at
-  // most this many times per execution chain; transient IO failures
-  // (StatusCode::kIOError, including injected faults) retry with
-  // exponential backoff, everything else fails the job immediately.
+  // most this many times; transient IO failures (StatusCode::kIOError,
+  // including injected faults) retry with exponential backoff,
+  // everything else fails the job immediately.
   int max_task_attempts = 4;
   // Base backoff before attempt n >= 2: base * 2^(n-2), capped at
   // 100 ms, so the first retry sleeps `base`. Zero disables sleeping
   // (tests).
   double retry_backoff_ms = 1.0;
-  // Speculative re-execution of straggler map tasks: once at least
-  // half the map tasks finished, any still-running task whose elapsed
-  // time exceeds max(speculation_min_seconds, speculation_factor *
-  // p95(completed task seconds)) is re-launched as a duplicate
-  // execution chain; the first chain to finish commits, the loser's
-  // work is discarded (commit is an atomic per-task gate, so output
-  // is unaffected).
-  bool enable_speculation = true;
-  double speculation_factor = 3.0;
-  double speculation_min_seconds = 0.25;
-  // Test-only: sleep this long after each map record, simulating slow
-  // user code so straggler-dependent behavior (speculation) can be
-  // exercised deterministically regardless of how fast the VM and the
-  // scan path are. Zero (production) never sleeps.
-  double debug_map_record_sleep_ms = 0.0;
 
   // ---- observability (docs/observability.md) ----
   // Stable identifier stamped on every journal event, trace span, and
@@ -155,11 +141,11 @@ struct JobCounters {
   uint64_t log_messages = 0;
   uint64_t shuffle_spilled_runs = 0;
   uint64_t shuffle_spilled_bytes = 0;
-  // Fault handling: attempts beyond each task's first, speculative
-  // duplicate chains launched, and tasks that exhausted their retry
-  // budget (also published as the engine.task_retries /
-  // engine.speculative_launches / engine.tasks_failed counters).
+  // Fault handling: attempts beyond each task's first, and tasks that
+  // exhausted their retry budget (also published as the
+  // engine.task_retries / engine.tasks_failed counters).
   uint64_t task_retries = 0;
+  // Always 0; its only reader is perfbench's exec.speculative_frac.
   uint64_t speculative_launches = 0;
   uint64_t tasks_failed = 0;
   // Native tier: committed map tasks that ran the compiled kernel
@@ -178,14 +164,13 @@ struct PhaseStat {
 };
 
 // One committed task attempt's runtime stats (EXPLAIN ANALYZE;
-// populated only under JobConfig::collect_task_stats). The chain /
-// attempt columns show which retry or speculative twin actually won
-// the task's commit gate — losing attempts leave no row.
+// populated only under JobConfig::collect_task_stats). The attempt
+// column shows which retry committed the task; failed attempts leave
+// no row.
 struct TaskStat {
   char kind = 'm';  // 'm' = map task, 'r' = reduce task
   int index = 0;    // split index (map) or partition (reduce)
-  int chain = 0;    // 0 = original chain, 1 = speculative twin
-  int attempt = 0;  // 1-based attempt within the chain
+  int attempt = 0;  // 1-based attempt
   uint64_t records_in = 0;   // records scanned (map) / groups (reduce)
   uint64_t records_out = 0;  // pairs emitted
   uint64_t bytes_read = 0;

@@ -3,11 +3,11 @@
 // The tracer answers "where did the time go" visually; the journal
 // answers "what did the run DO", machine-readably. When
 // MANIMAL_JOURNAL=<path> is set, every job / plan / task lifecycle
-// transition — plan selection, task start, retry, speculative launch,
+// transition — plan selection, task start, retry and commit,
 // fault-injection hit, shuffle spill, partition merge, output commit,
 // job finish — is appended to <path> as one JSON object per line
 // (JSON lines), in emission order, with a stable versioned schema
-// ("v" field, currently 1) and a process-monotonic sequence number.
+// ("v" field, currently 2) and a process-monotonic sequence number.
 //
 // Journal events and Chrome-trace spans share identifiers and the
 // timebase: the engine stamps the same job id ("job-<n>") and task id
@@ -35,7 +35,7 @@ namespace manimal::obs {
 
 // Version of the journal line schema. Bump when a field is renamed,
 // removed, or changes meaning; adding fields is backward-compatible.
-inline constexpr int kJournalSchemaVersion = 1;
+inline constexpr int kJournalSchemaVersion = 2;
 
 class Journal;
 

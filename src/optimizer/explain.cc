@@ -254,14 +254,12 @@ std::string ExplainReport::ToText() const {
   }
   out += StrPrintf(
       "  counters: input_records=%llu input_bytes=%llu "
-      "map_output_records=%llu spilled_runs=%llu retries=%llu "
-      "speculative=%llu\n",
+      "map_output_records=%llu spilled_runs=%llu retries=%llu\n",
       static_cast<unsigned long long>(counters.input_records),
       static_cast<unsigned long long>(counters.input_bytes),
       static_cast<unsigned long long>(counters.map_output_records),
       static_cast<unsigned long long>(counters.shuffle_spilled_runs),
-      static_cast<unsigned long long>(counters.task_retries),
-      static_cast<unsigned long long>(counters.speculative_launches));
+      static_cast<unsigned long long>(counters.task_retries));
   if (counters.bytes_decoded != counters.input_bytes ||
       counters.blocks_skipped > 0) {
     out += StrPrintf(
@@ -274,9 +272,9 @@ std::string ExplainReport::ToText() const {
                      tasks.size());
     for (const exec::TaskStat& t : tasks) {
       out += StrPrintf(
-          "    %c%04d chain=%d attempt=%d: in=%llu out=%llu "
+          "    %c%04d attempt=%d: in=%llu out=%llu "
           "read=%llu written=%llu vm=%llu %.3fs\n",
-          t.kind, t.index, t.chain, t.attempt,
+          t.kind, t.index, t.attempt,
           static_cast<unsigned long long>(t.records_in),
           static_cast<unsigned long long>(t.records_out),
           static_cast<unsigned long long>(t.bytes_read),
@@ -414,8 +412,6 @@ std::string ExplainReport::ToJson() const {
     out += ",\"shuffle_spilled_runs\":" +
            std::to_string(counters.shuffle_spilled_runs);
     out += ",\"task_retries\":" + std::to_string(counters.task_retries);
-    out += ",\"speculative_launches\":" +
-           std::to_string(counters.speculative_launches);
     out += ",\"native_tasks\":" + std::to_string(counters.native_tasks);
     out += ",\"native_bailout_records\":" +
            std::to_string(counters.native_bailout_records);
@@ -428,7 +424,6 @@ std::string ExplainReport::ToJson() const {
       if (i > 0) out += ",";
       out += "{\"task\":" +
              JsonQuote(StrPrintf("%c%04d", t.kind, t.index));
-      out += ",\"chain\":" + std::to_string(t.chain);
       out += ",\"attempt\":" + std::to_string(t.attempt);
       out += ",\"records_in\":" + std::to_string(t.records_in);
       out += ",\"records_out\":" + std::to_string(t.records_out);

@@ -11,7 +11,7 @@
 // (the feedback signal a stats-driven cost model needs).
 //
 // Both render as text (ToText) and as a single JSON object (ToJson,
-// stable field names, "explain_version" currently 1). The report is
+// stable field names, "explain_version" currently 2). The report is
 // produced by core::ManimalSystem when JobConfig/environment asks for
 // it (MANIMAL_EXPLAIN=plan|analyze), but MakeExplainReport is usable
 // directly by any caller that holds a Plan (and optionally the
@@ -32,7 +32,7 @@ struct Plan;  // optimizer.h; explain.cc sees the full definition
 
 // Version of the ToJson() schema. Bump on rename/removal/semantic
 // change of a field; additions are backward-compatible.
-inline constexpr int kExplainSchemaVersion = 1;
+inline constexpr int kExplainSchemaVersion = 2;
 
 enum class ExplainMode {
   kOff,
@@ -144,7 +144,7 @@ struct ExplainReport {
   // Multi-line human-readable rendering.
   std::string ToText() const;
   // One JSON object (no trailing newline), stable schema
-  // ("explain_version": 1). Numeric estimate fields that are unknown
+  // ("explain_version": 2). Numeric estimate fields that are unknown
   // (negative sentinels) are omitted.
   std::string ToJson() const;
 };

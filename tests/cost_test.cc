@@ -502,7 +502,6 @@ class TailSkewTest : public ::testing::Test {
     options.cost_based_optimizer = cost_based;
     options.map_parallelism = 1;
     options.num_partitions = 1;
-    options.enable_speculation = false;
     options.retry_backoff_ms = 0;
     auto system_or = core::ManimalSystem::Open(options);
     EXPECT_TRUE(system_or.ok());

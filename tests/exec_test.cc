@@ -628,9 +628,6 @@ class EngineFaultTest : public ::testing::Test {
     config.simulated_startup_seconds = 0;
     config.simulated_disk_bytes_per_sec = 0;
     config.retry_backoff_ms = 0;
-    // The sweep relies on the armed-operation count being identical
-    // across runs; speculative chains would perturb it.
-    config.enable_speculation = false;
     return config;
   }
 
@@ -643,43 +640,53 @@ class EngineFaultTest : public ::testing::Test {
 
 TEST_F(EngineFaultTest, EveryInjectionSiteIsSurvivable) {
   // Parameterized over the injection site: fail the Nth armed IO
-  // operation — spill writes, part-file writes, renames, input block
-  // reads, seals' preceding commits — and the retried job must still
-  // produce the fault-free output.
-  mril::Program program = workloads::SelectionCountQuery(50);
-  ASSERT_OK_AND_ASSIGN(JobResult clean,
-                       RunJob(Baseline(program), Config("clean.prs")));
-  ASSERT_OK_AND_ASSIGN(auto canonical,
-                       ReadCanonicalPairs(clean.output_path));
+  // operation — input block reads, spill writes and merges, part-file
+  // writes and the renames that commit them — and the retried job
+  // must still produce the fault-free output. One job has a reduce;
+  // the other is map-only, so a map attempt's own commit (its
+  // part-file rename) is failed too.
+  for (const mril::Program& program : {workloads::SelectionCountQuery(50),
+                                       workloads::ProjectionQuery(50)}) {
+    SCOPED_TRACE(program.name);
+    const std::string prefix = program.name + "-";
+    ASSERT_OK_AND_ASSIGN(
+        JobResult clean,
+        RunJob(Baseline(program), Config(prefix + "clean.prs")));
+    ASSERT_OK_AND_ASSIGN(auto canonical,
+                         ReadCanonicalPairs(clean.output_path));
+    ASSERT_FALSE(canonical.empty());
 
-  // Calibrate: count the armed operations of one fault-free job.
-  uint64_t num_sites = 0;
-  {
-    FaultyEnv::Config count_only;
-    count_only.rate = 0;
-    ScopedFaultInjection inject(count_only);
-    ASSERT_OK(RunJob(Baseline(program), Config("count.prs")).status());
-    num_sites = FaultyEnv::Get().stats().evaluated;
-  }
-  ASSERT_GT(num_sites, 0u);
+    // Calibrate: count the armed operations of one fault-free job.
+    uint64_t num_sites = 0;
+    {
+      FaultyEnv::Config count_only;
+      count_only.rate = 0;
+      ScopedFaultInjection inject(count_only);
+      ASSERT_OK(
+          RunJob(Baseline(program), Config(prefix + "count.prs")).status());
+      num_sites = FaultyEnv::Get().stats().evaluated;
+    }
+    ASSERT_GT(num_sites, 0u);
 
-  // Sweep up to 40 sites spread across the whole job (every site when
-  // there are fewer).
-  const uint64_t step = std::max<uint64_t>(1, num_sites / 40);
-  for (uint64_t nth = 1; nth <= num_sites; nth += step) {
-    SCOPED_TRACE("injection site " + std::to_string(nth) + " of " +
-                 std::to_string(num_sites));
-    FaultyEnv::Config config;
-    config.fail_nth = nth;
-    ScopedFaultInjection inject(config);
-    const std::string out = "site-" + std::to_string(nth) + ".prs";
-    ASSERT_OK_AND_ASSIGN(JobResult result,
-                         RunJob(Baseline(program), Config(out)));
-    EXPECT_EQ(FaultyEnv::Get().stats().injected, 1u);
-    EXPECT_GE(result.counters.task_retries, 1u);
-    ASSERT_OK_AND_ASSIGN(auto pairs,
-                         ReadCanonicalPairs(result.output_path));
-    EXPECT_EQ(pairs, canonical);
+    // Sweep up to 40 sites spread across the whole job (every site
+    // when there are fewer).
+    const uint64_t step = std::max<uint64_t>(1, num_sites / 40);
+    for (uint64_t nth = 1; nth <= num_sites; nth += step) {
+      SCOPED_TRACE("injection site " + std::to_string(nth) + " of " +
+                   std::to_string(num_sites));
+      FaultyEnv::Config config;
+      config.fail_nth = nth;
+      ScopedFaultInjection inject(config);
+      const std::string out =
+          prefix + "site-" + std::to_string(nth) + ".prs";
+      ASSERT_OK_AND_ASSIGN(JobResult result,
+                           RunJob(Baseline(program), Config(out)));
+      EXPECT_EQ(FaultyEnv::Get().stats().injected, 1u);
+      EXPECT_GE(result.counters.task_retries, 1u);
+      ASSERT_OK_AND_ASSIGN(auto pairs,
+                           ReadCanonicalPairs(result.output_path));
+      EXPECT_EQ(pairs, canonical);
+    }
   }
 }
 
@@ -753,41 +760,6 @@ TEST_F(EngineFaultTest, FailedJobRemovesPartialOutput) {
   ASSERT_FALSE(RunJob(Baseline(b.Build()), config).ok());
   EXPECT_FALSE(FileExists(config.output_path));
   EXPECT_FALSE(FileExists(config.output_path + ".inprogress"));
-}
-
-TEST_F(EngineTest, SpeculationLaunchesDuplicatesWithoutChangingOutput) {
-  // A zero threshold turns every still-running map task into a
-  // "straggler" as soon as half the tasks completed, so speculative
-  // chains demonstrably launch — and the per-task commit gate must
-  // keep the duplicated work out of the output.
-  mril::Program program = workloads::SelectionCountQuery(50);
-  ASSERT_OK_AND_ASSIGN(JobResult clean,
-                       RunJob(Baseline(program), Config("clean.prs")));
-  ASSERT_OK_AND_ASSIGN(auto canonical,
-                       ReadCanonicalPairs(clean.output_path));
-
-  // The monitor polls on a wall-clock cadence, so it must catch a task
-  // mid-flight; the per-record debug sleep stretches each task far
-  // beyond the poll interval, which makes a launch deterministic
-  // rather than a race against how fast the scan + VM happen to be.
-  // Output correctness is asserted on every run regardless.
-  uint64_t launches = 0;
-  for (int attempt = 0; attempt < 5 && launches == 0; ++attempt) {
-    JobConfig config =
-        Config("spec-" + std::to_string(attempt) + ".prs");
-    config.map_parallelism = 1;  // serial tasks: a long monitor window
-    config.enable_speculation = true;
-    config.speculation_factor = 0;
-    config.speculation_min_seconds = 0;
-    config.debug_map_record_sleep_ms = 1.0;
-    ASSERT_OK_AND_ASSIGN(JobResult result,
-                         RunJob(Baseline(program), config));
-    launches += result.counters.speculative_launches;
-    ASSERT_OK_AND_ASSIGN(auto pairs,
-                         ReadCanonicalPairs(result.output_path));
-    EXPECT_EQ(pairs, canonical);
-  }
-  EXPECT_GE(launches, 1u);
 }
 
 }  // namespace

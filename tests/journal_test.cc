@@ -44,9 +44,9 @@ std::vector<std::string> SplitLines(const std::string& text) {
 }
 
 // Runs the full Manimal pipeline once (seqscan, 1 mapper, 1
-// partition, speculation off) with the journal recording
-// deterministically, and returns the journal text with the workspace
-// root and auto-assigned job id normalized.
+// partition) with the journal recording deterministically, and
+// returns the journal text with the workspace root and auto-assigned
+// job id normalized.
 std::string RunDeterministicJob(const TempDir& dir) {
   Journal::Get().ResetForTest();
   Journal::Get().SetOutputPathForTest(dir.file("journal.jsonl"));
@@ -64,7 +64,6 @@ std::string RunDeterministicJob(const TempDir& dir) {
   options.simulated_startup_seconds = 0;
   options.map_parallelism = 1;
   options.num_partitions = 1;
-  options.enable_speculation = false;
   auto system_or = core::ManimalSystem::Open(options);
   EXPECT_TRUE(system_or.ok()) << system_or.status().ToString();
   core::ManimalSystem::Submission job;

@@ -1,9 +1,9 @@
 // obs_check — CI validator for the machine-readable observability
 // artifacts (docs/observability.md):
 //
-//   obs_check --journal run.jsonl   # run journal (JSON lines, v1)
+//   obs_check --journal run.jsonl   # run journal (JSON lines, v2)
 //   obs_check --trace trace.json    # Chrome trace export
-//   obs_check --explain plans.jsonl # EXPLAIN reports (JSON lines, v1)
+//   obs_check --explain plans.jsonl # EXPLAIN reports (JSON lines, v2)
 //
 // Any mix of flags may be given; every named file is validated and
 // the process exits nonzero if any check fails. The checks enforce
@@ -73,11 +73,10 @@ const std::map<std::string, std::vector<const char*>>& JournalSchema() {
       {"job_start",
        {"job", "program", "access_path", "splits", "partitions",
         "input_file_bytes", "observe_predicates"}},
-      {"task_start", {"job", "task", "chain", "speculative", "backend"}},
-      {"task_retry", {"job", "task", "chain", "attempt", "error"}},
-      {"task_commit", {"job", "task", "chain", "attempt"}},
-      {"task_failed", {"job", "task", "chain", "error"}},
-      {"speculative_launch", {"job", "task", "elapsed_s", "threshold_s"}},
+      {"task_start", {"job", "task", "backend"}},
+      {"task_retry", {"job", "task", "attempt", "error"}},
+      {"task_commit", {"job", "task", "attempt"}},
+      {"task_failed", {"job", "task", "error"}},
       {"shuffle_spill", {"job", "mapper", "partition", "bytes"}},
       {"shuffle_merge", {"job", "partition", "disk_runs", "memory_runs"}},
       {"fault_injected",
@@ -87,8 +86,8 @@ const std::map<std::string, std::vector<const char*>>& JournalSchema() {
       {"output_commit", {"job", "path", "records", "bytes"}},
       {"job_finish",
        {"job", "input_records", "output_records", "task_retries",
-        "speculative_launches", "shuffle_spilled_runs", "bytes_decoded",
-        "blocks_skipped", "wall_seconds", "reported_seconds"}},
+        "shuffle_spilled_runs", "bytes_decoded", "blocks_skipped",
+        "wall_seconds", "reported_seconds"}},
       {"job_failed", {"job", "error"}},
   };
   return schema;
