@@ -621,34 +621,45 @@ Result<SeqFileReader::BlockAccessor> SeqFileReader::OpenBlockAccessor()
   return BlockAccessor(shared_from_this(), std::move(file));
 }
 
-Status SeqFileReader::BlockAccessor::Load(uint64_t block) {
-  if (block == loaded_block_) return Status::OK();
-  const SeqFileReader& r = *reader_;
-  if (block >= r.num_blocks()) {
+Status SeqFileReader::DecodeBlock(RandomAccessFile* file, uint64_t block,
+                                  bool borrow_strings, DecodedBlock* out,
+                                  uint64_t* bytes_read,
+                                  uint64_t* bytes_decoded) const {
+  if (block >= num_blocks()) {
     return Status::InvalidArgument("block index out of range");
   }
-  std::string body;
-  MANIMAL_RETURN_IF_ERROR(r.ReadBlockBody(file_.get(), block, &body,
-                                          &bytes_read_, &bytes_decoded_));
-  std::string_view in = body;
+  MANIMAL_RETURN_IF_ERROR(
+      ReadBlockBody(file, block, &out->body, bytes_read, bytes_decoded));
+  std::string_view in = out->body;
   uint32_t count = 0;
   MANIMAL_RETURN_IF_ERROR(GetVarint32(&in, &count));
-  records_.clear();
-  keys_.clear();
-  records_.reserve(count);
-  keys_.reserve(count);
-  std::vector<int64_t> delta_prev(r.meta_.delta_slots.size(), 0);
-  int64_t ordinal = static_cast<int64_t>(r.block_cum_records_[block]);
+  if (count != BlockRecordCount(block)) {
+    return Status::Corruption("block record count disagrees with footer");
+  }
+  out->keys.resize(count);
+  out->records.resize(count);
+  std::vector<int64_t> delta_prev(meta_.delta_slots.size(), 0);
+  const int64_t ordinal = static_cast<int64_t>(block_cum_records_[block]);
   for (uint32_t i = 0; i < count; ++i) {
     int64_t key = ordinal + i;
-    if (r.meta_.has_key_slot) {
+    if (meta_.has_key_slot) {
       MANIMAL_RETURN_IF_ERROR(GetVarintSigned(&in, &key));
     }
-    Record record;
-    MANIMAL_RETURN_IF_ERROR(r.DecodeStored(&in, &delta_prev, &record));
-    keys_.push_back(key);
-    records_.push_back(std::move(record));
+    out->keys[i] = key;
+    MANIMAL_RETURN_IF_ERROR(DecodeStored(&in, &delta_prev, &out->records[i],
+                                         borrow_strings));
   }
+  return Status::OK();
+}
+
+Status SeqFileReader::BlockAccessor::Load(uint64_t block) {
+  if (block == loaded_block_) return Status::OK();
+  // A failed decode leaves block_ half filled: nothing is loaded.
+  loaded_block_ = UINT64_MAX;
+  MANIMAL_RETURN_IF_ERROR(reader_->DecodeBlock(file_.get(), block,
+                                               /*borrow_strings=*/false,
+                                               &block_, &bytes_read_,
+                                               &bytes_decoded_));
   loaded_block_ = block;
   return Status::OK();
 }

@@ -295,6 +295,27 @@ class SeqFileReader
   Result<RecordStream> Scan(uint64_t begin_block, uint64_t end_block) const;
   Result<RecordStream> ScanAll() const { return Scan(0, num_blocks()); }
 
+  // One block, decoded whole. Decoding into it again reuses its
+  // buffers.
+  struct DecodedBlock {
+    std::string body;  // raw (decompressed) block body
+    // keys[i] is records[i]'s map() key: the persisted one
+    // (has_key_slot) or the global ordinal.
+    std::vector<int64_t> keys;
+    std::vector<Record> records;
+  };
+
+  // Reads block `block` through `file`, an open handle on this file
+  // that no other thread uses meanwhile (ReadAt seeks it), and decodes
+  // every record into *out. Dict-encoded slots surface as i64 codes.
+  // With `borrow_strings`, str fields are views into out->body, valid
+  // until *out is decoded into again. Adds the bytes read and
+  // materialized to *bytes_read / *bytes_decoded. Safe to call from
+  // several threads at once, each with its own file and *out.
+  Status DecodeBlock(RandomAccessFile* file, uint64_t block,
+                     bool borrow_strings, DecodedBlock* out,
+                     uint64_t* bytes_read, uint64_t* bytes_decoded) const;
+
   // Locator-based access: decodes one whole block at a time and serves
   // records by in-block index. B+Tree range scans resolve their
   // (block, index) payloads through this; visiting locators in file
@@ -306,11 +327,11 @@ class SeqFileReader
 
     uint64_t loaded_block() const { return loaded_block_; }
     const SeqFileMeta& reader_meta() const { return reader_->meta(); }
-    size_t num_records() const { return records_.size(); }
+    size_t num_records() const { return block_.records.size(); }
     const Record& record(uint32_t index) const {
-      return records_.at(index);
+      return block_.records.at(index);
     }
-    int64_t key(uint32_t index) const { return keys_.at(index); }
+    int64_t key(uint32_t index) const { return block_.keys.at(index); }
     uint64_t bytes_read() const { return bytes_read_; }
     uint64_t bytes_decoded() const { return bytes_decoded_; }
 
@@ -323,8 +344,7 @@ class SeqFileReader
     std::shared_ptr<const SeqFileReader> reader_;
     std::unique_ptr<RandomAccessFile> file_;
     uint64_t loaded_block_ = UINT64_MAX;
-    std::vector<Record> records_;
-    std::vector<int64_t> keys_;
+    DecodedBlock block_;
     uint64_t bytes_read_ = 0;
     uint64_t bytes_decoded_ = 0;
   };

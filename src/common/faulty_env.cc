@@ -142,9 +142,11 @@ Status FaultyEnv::MaybeInjectWrite(const std::string& path, size_t len,
   return st;
 }
 
-ScopedFaultArming::ScopedFaultArming() : was_armed_(tls_armed) {
-  tls_armed = true;
+ScopedFaultArming::ScopedFaultArming(bool armed) : was_armed_(tls_armed) {
+  tls_armed = armed;
 }
+
+bool ScopedFaultArming::ThreadArmed() { return tls_armed; }
 
 ScopedFaultArming::~ScopedFaultArming() { tls_armed = was_armed_; }
 

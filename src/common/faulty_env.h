@@ -9,16 +9,24 @@
 // errors and short writes (a prefix of the data is persisted and the
 // write then fails, modeling a torn write / lost fsync).
 //
-// The schedule is deterministic per (seed, op, path, per-path op
-// ordinal), so a given seed produces the same set of injected faults
-// for the same file-access pattern regardless of thread interleaving.
-// A separate `fail_nth` mode fails exactly the Nth armed operation,
-// which crash-recovery tests use to sweep every injection site.
+// The schedule decides per (seed, op, path, per-path op ordinal). The
+// ordinal counts the armed operations on one path in the order they
+// arrive, so while one thread at a time touches a path, a given seed
+// injects the same faults for the same file-access pattern. When
+// several threads read one path (map tasks over splits of one input,
+// index-build workers over its blocks), which of their reads takes
+// which ordinal, and so which one fails, follows the thread
+// interleaving. The ordinal stays because a retried operation needs a
+// fresh decision. A separate `fail_nth` mode fails exactly the Nth
+// armed operation in arrival order, which crash-recovery tests use to
+// sweep every injection site.
 //
 // Arming is thread-local: the execution fabric arms fault injection
 // only inside retryable task attempts, so a fault is only ever
 // injected where the engine's retry machinery can observe and recover
-// from it. Tests arm explicitly around the code under test.
+// from it. Tests arm explicitly around the code under test. Helper
+// threads working for an armed caller arm themselves too (see
+// ScopedFaultArming::ThreadArmed).
 //
 // Env vars (see docs/testing.md): MANIMAL_FAULT_SEED,
 // MANIMAL_FAULT_RATE, MANIMAL_FAULT_MAX.
@@ -112,17 +120,23 @@ class FaultyEnv {
   mutable std::mutex mu_;
   Config config_;
   Stats stats_;
-  // Per-path armed-op ordinals, so the schedule is independent of
-  // cross-file thread interleaving.
+  // Per-path armed-op ordinals, in arrival order: independent of
+  // interleaving across files, not among threads sharing one path.
   std::map<std::string, uint64_t> path_ops_;
 };
 
-// Arms fault injection for the current thread for the scope's
-// lifetime. Nestable.
+// Arms fault injection for the current thread (or, with `armed`
+// false, disarms it) for the scope's lifetime, then restores the
+// previous state. Nestable.
 class ScopedFaultArming {
  public:
-  ScopedFaultArming();
+  explicit ScopedFaultArming(bool armed = true);
   ~ScopedFaultArming();
+
+  // Whether the current thread is armed. A thread started to do part
+  // of an armed caller's work passes this to its own scope, so its
+  // file operations are eligible exactly when the caller's are.
+  static bool ThreadArmed();
 
   ScopedFaultArming(const ScopedFaultArming&) = delete;
   ScopedFaultArming& operator=(const ScopedFaultArming&) = delete;

@@ -164,7 +164,7 @@ Result<exec::IndexBuildResult> ManimalSystem::BuildIndex(
   const std::string temp_dir = FreshTempDir("indexgen");
   Result<exec::IndexBuildResult> result = exec::BuildIndexArtifact(
       spec, input_path, options_.workspace_dir + "/artifacts", temp_dir,
-      catalog_->StatsFor(input_path));
+      catalog_->StatsFor(input_path), options_.map_parallelism);
   RemoveTempDir(temp_dir);
   MANIMAL_RETURN_IF_ERROR(result.status());
   MANIMAL_RETURN_IF_ERROR(catalog_->Register(result->entry, result->stats));

@@ -36,6 +36,8 @@ class ManimalSystem {
     // Root directory for the catalog, index artifacts, and scratch
     // space. Created if missing.
     std::string workspace_dir;
+    // Map slots of every job, and the worker threads an index build
+    // decodes its input on (docs/execution.md "Index generation").
     int map_parallelism = 4;
     int num_partitions = 4;
     // Price cataloged artifacts (and the plain scan) in estimated

@@ -2,11 +2,19 @@
 // file, applies the transformations the analyzer prescribed
 // (projection, delta encoding, dictionary encoding), and either
 // bulk-loads a B+Tree keyed by the selection expression or writes a
-// re-encoded SeqFile. The artifact is then registered in the catalog.
+// re-encoded SeqFile or column groups. The artifact is then registered
+// in the catalog.
 //
 // This is the fabric-side realization of "an index-generation program
 // ... is itself a MapReduce program": scan (map) -> sort by index key
-// (shuffle) -> bulk load (reduce).
+// (shuffle) -> bulk load (reduce). The map side runs in parallel:
+// worker threads decode input blocks and compute every per-row product
+// that does not depend on row order (projected records, statistics
+// keys and their KMV sketches, the B+Tree key and clustered or
+// raw-input locator payloads). The calling thread takes the blocks in
+// file order and does the rest — reservoir sampling, codec sampling,
+// the artifact writers and the sort — so the artifact is the same
+// bytes at every parallelism (docs/execution.md "Index generation").
 
 #ifndef MANIMAL_EXEC_INDEX_BUILD_H_
 #define MANIMAL_EXEC_INDEX_BUILD_H_
@@ -33,8 +41,9 @@ struct IndexBuildResult {
 
 // Builds the artifact for `spec` from `input_path` (a plain SeqFile),
 // placing outputs under `artifact_dir` and spill files under
-// `temp_dir`. Does not touch the catalog; callers register the entry
-// with the result's stats.
+// `temp_dir`, with up to `parallelism` worker threads (never more than
+// the input has blocks). Does not touch the catalog; callers register
+// the entry with the result's stats.
 //
 // Statistics are kept once per input version, in one file under
 // `artifact_dir` named after the input. `input_stats` are the input's
@@ -45,7 +54,7 @@ struct IndexBuildResult {
 Result<IndexBuildResult> BuildIndexArtifact(
     const analyzer::IndexGenProgram& spec, const std::string& input_path,
     const std::string& artifact_dir, const std::string& temp_dir,
-    const stats::TableStats* input_stats = nullptr);
+    const stats::TableStats* input_stats = nullptr, int parallelism = 1);
 
 }  // namespace manimal::exec
 

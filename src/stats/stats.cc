@@ -237,24 +237,48 @@ Result<TableStats> TableStats::Load(const std::string& path) {
 
 // ---- collectors ----
 
+void KmvSketch::Add(std::string_view encoded_key) {
+  AddHash(HashKey(encoded_key));
+}
+
+// Once full, almost every hash fails the first comparison.
+void KmvSketch::AddHash(uint64_t h) {
+  if (hashes_.size() == kSketchSize && h >= hashes_.back()) return;
+  auto it = std::lower_bound(hashes_.begin(), hashes_.end(), h);
+  if (it != hashes_.end() && *it == h) return;
+  const size_t pos = it - hashes_.begin();
+  if (hashes_.size() == kSketchSize) hashes_.pop_back();
+  hashes_.insert(hashes_.begin() + pos, h);
+}
+
+void KmvSketch::Merge(const KmvSketch& other) {
+  for (uint64_t h : other.hashes_) AddHash(h);
+}
+
+double KmvSketch::Estimate(uint64_t count) const {
+  if (hashes_.empty()) return 0;
+  double ndv = 0;
+  if (hashes_.size() < kSketchSize) {
+    // Sketch never filled: it holds every distinct hash seen.
+    ndv = static_cast<double>(hashes_.size());
+  } else {
+    // Standard KMV estimator: (k-1) / normalized k-th minimum.
+    const double kth = static_cast<double>(hashes_.back());
+    const double unit = kth / 18446744073709551615.0;  // 2^64 - 1
+    if (unit > 0) {
+      ndv = (static_cast<double>(hashes_.size()) - 1.0) / unit;
+    }
+  }
+  return std::min(ndv, static_cast<double>(count));
+}
+
 namespace internal {
 
-void ColumnSketch::Add(std::string_view encoded_key, size_t slot) {
+void ColumnSketch::AddSample(std::string_view encoded_key, size_t slot) {
   if (slot == reservoir.size()) {
     reservoir.emplace_back(encoded_key);
   } else if (slot < reservoir.size()) {
     reservoir[slot].assign(encoded_key.data(), encoded_key.size());
-  }
-  // KMV sketch: keep the kSketchSize smallest distinct hashes. Once
-  // full, almost every hash fails the first comparison.
-  const uint64_t h = HashKey(encoded_key);
-  if (kmv.size() < kSketchSize || h < kmv.back()) {
-    auto it = std::lower_bound(kmv.begin(), kmv.end(), h);
-    if (it == kmv.end() || *it != h) {
-      const size_t pos = it - kmv.begin();
-      if (kmv.size() == kSketchSize) kmv.pop_back();
-      kmv.insert(kmv.begin() + pos, h);
-    }
   }
   if (raw_sample.size() < kRawSampleSize) {
     raw_sample.emplace_back(encoded_key);
@@ -267,20 +291,7 @@ ColumnStats ColumnSketch::Finish(uint64_t count) const {
   out.histogram = reservoir;
   std::sort(out.histogram.begin(), out.histogram.end());
   out.sample = raw_sample;
-  if (!kmv.empty()) {
-    if (kmv.size() < kSketchSize) {
-      // Sketch never filled: it holds every distinct hash seen.
-      out.ndv = static_cast<double>(kmv.size());
-    } else {
-      // Standard KMV estimator: (k-1) / normalized k-th minimum.
-      const double kth = static_cast<double>(kmv.back());
-      const double unit = kth / 18446744073709551615.0;  // 2^64 - 1
-      if (unit > 0) {
-        out.ndv = (static_cast<double>(kmv.size()) - 1.0) / unit;
-      }
-    }
-    out.ndv = std::min(out.ndv, static_cast<double>(count));
-  }
+  out.ndv = kmv.Estimate(count);
   return out;
 }
 
@@ -290,7 +301,8 @@ ColumnStatsCollector::ColumnStatsCollector() : rng_(kReservoirSeed) {}
 
 void ColumnStatsCollector::Add(std::string_view encoded_key) {
   ++count_;
-  column_.Add(encoded_key, ReservoirSlot(count_, &rng_));
+  column_.AddSample(encoded_key, ReservoirSlot(count_, &rng_));
+  column_.kmv.Add(encoded_key);
 }
 
 ColumnStats ColumnStatsCollector::Finish() const {
@@ -304,11 +316,21 @@ TableStatsCollector::TableStatsCollector(
       columns_(names_.size()) {}
 
 void TableStatsCollector::AddRow(const std::vector<std::string_view>& keys) {
+  AddRowSample(keys);
+  for (size_t i = 0; i < columns_.size(); ++i) columns_[i].kmv.Add(keys[i]);
+}
+
+void TableStatsCollector::AddRowSample(
+    const std::vector<std::string_view>& keys) {
   ++row_count_;
   const size_t slot = ReservoirSlot(row_count_, &rng_);
   for (size_t i = 0; i < columns_.size(); ++i) {
-    columns_[i].Add(keys[i], slot);
+    columns_[i].AddSample(keys[i], slot);
   }
+}
+
+void TableStatsCollector::MergeSketch(size_t column, const KmvSketch& part) {
+  columns_[column].kmv.Merge(part);
 }
 
 TableStats TableStatsCollector::Finish() const {

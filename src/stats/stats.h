@@ -90,6 +90,25 @@ struct TableStats {
   static Result<TableStats> Load(const std::string& path);
 };
 
+// KMV distinct-count sketch: the kSketchSize smallest distinct key
+// hashes seen. The smallest k of a union are the smallest k of the
+// parts' smallest k, so sketches built over any partition of a
+// column's rows merge, in any order, into exactly the sketch of all of
+// them.
+class KmvSketch {
+ public:
+  void Add(std::string_view encoded_key);
+  void Merge(const KmvSketch& other);
+
+  // Distinct-value estimate for a column of `count` rows.
+  double Estimate(uint64_t count) const;
+
+ private:
+  void AddHash(uint64_t h);
+
+  std::vector<uint64_t> hashes_;  // ascending
+};
+
 namespace internal {
 
 // One column's summaries under construction. Which reservoir slot a
@@ -97,13 +116,14 @@ namespace internal {
 // ColumnStatsCollector, once per row for every column in
 // TableStatsCollector.
 struct ColumnSketch {
-  // reservoir.size() appends, a smaller slot replaces, anything larger
-  // keeps the key out of the reservoir.
-  void Add(std::string_view encoded_key, size_t slot);
+  // The order-dependent summaries: reservoir.size() appends, a smaller
+  // slot replaces, anything larger keeps the key out of the reservoir;
+  // the first kRawSampleSize keys form the raw sample.
+  void AddSample(std::string_view encoded_key, size_t slot);
   ColumnStats Finish(uint64_t count) const;
 
   std::vector<std::string> reservoir;
-  std::vector<uint64_t> kmv;  // smallest distinct key hashes, ascending
+  KmvSketch kmv;
   std::vector<std::string> raw_sample;
 };
 
@@ -130,14 +150,25 @@ class ColumnStatsCollector {
 // own ColumnStatsCollector would make — same seed, same count — so it
 // is made once per row and shared: the result equals one
 // ColumnStatsCollector per column, at a fraction of the cost.
+//
+// A row has two halves. The reservoir and raw sample depend on row
+// order (AddRowSample, every row, in order); the KMV sketch does not
+// (MergeSketch, from parts built over any partition of the rows), so
+// that half can be computed on other threads.
 class TableStatsCollector {
  public:
   explicit TableStatsCollector(std::vector<std::string> column_names);
 
-  // keys[i] is column i's encoded key for this row.
+  // keys[i] is column i's encoded key for this row. Both halves.
   void AddRow(const std::vector<std::string_view>& keys);
 
-  // The collected columns; row_count counts AddRow calls.
+  // The order-dependent half of AddRow.
+  void AddRowSample(const std::vector<std::string_view>& keys);
+  // Folds in column `column`'s KMV sketch of some of the rows.
+  void MergeSketch(size_t column, const KmvSketch& part);
+
+  // The collected columns; row_count counts the rows added (AddRow or
+  // AddRowSample calls).
   TableStats Finish() const;
 
  private:

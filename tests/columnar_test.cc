@@ -329,6 +329,48 @@ TEST(SeqFileTest, BlockAccessorResolvesLocators) {
   EXPECT_FALSE(accessor.Load(reader->num_blocks()).ok());
 }
 
+// A block body whose record count disagrees with the footer's is
+// Corruption, not a block with a record fewer.
+TEST(SeqFileTest, BlockCountDisagreeingWithFooterIsCorruption) {
+  TempDir dir("seq-count");
+  const std::string path = dir.file("t.msq");
+  {
+    SeqFileWriter::Options opts;
+    opts.target_block_bytes = 512;
+    ASSERT_OK_AND_ASSIGN(
+        auto writer,
+        SeqFileWriter::Create(path, PlainMeta(NumSchema()), opts));
+    for (int i = 0; i < 100; ++i) ASSERT_OK(writer->Append(Row("r", i, 0)));
+    ASSERT_OK(writer->Finish().status());
+  }
+  // Block 0 starts right after the header, which is what an empty
+  // file of the same meta holds before its 28-byte footer; its body
+  // opens with a fixed32 length and the varint record count.
+  {
+    ASSERT_OK_AND_ASSIGN(
+        auto empty,
+        SeqFileWriter::Create(dir.file("empty.msq"), PlainMeta(NumSchema())));
+    ASSERT_OK(empty->Finish().status());
+  }
+  ASSERT_OK_AND_ASSIGN(uint64_t empty_size,
+                       GetFileSize(dir.file("empty.msq")));
+  const size_t count_at = empty_size - 28 + 4;
+  ASSERT_OK_AND_ASSIGN(std::string bytes, ReadFileToString(path));
+  {
+    ASSERT_OK_AND_ASSIGN(auto reader, SeqFileReader::Open(path));
+    ASSERT_GT(reader->num_blocks(), 1u);
+    ASSERT_EQ(static_cast<uint8_t>(bytes[count_at]),
+              reader->BlockRecordCount(0));
+  }
+  --bytes[count_at];
+  ASSERT_OK(WriteStringToFile(path, bytes));
+  ASSERT_OK_AND_ASSIGN(auto reader, SeqFileReader::Open(path));
+  ASSERT_OK_AND_ASSIGN(auto accessor, reader->OpenBlockAccessor());
+  Status loaded = accessor.Load(0);
+  EXPECT_TRUE(loaded.IsCorruption()) << loaded.ToString();
+  EXPECT_OK(accessor.Load(1));
+}
+
 TEST(SeqFileTest, CorruptFileRejected) {
   TempDir dir("seq12");
   ASSERT_OK(WriteStringToFile(dir.file("bad"), "not a seqfile"));

@@ -425,6 +425,30 @@ TEST(FaultyEnvTest, ArmingNestsAndRestores) {
   EXPECT_FALSE(FaultyEnv::Active());
 }
 
+// Helper threads copy their caller's arming: ThreadArmed reports it,
+// a new thread starts unarmed, and ScopedFaultArming(false) disarms
+// for its scope only.
+TEST(FaultyEnvTest, ThreadArmedIsPassedToHelperThreads) {
+  EXPECT_FALSE(ScopedFaultArming::ThreadArmed());
+  ScopedFaultArming outer;
+  ASSERT_TRUE(ScopedFaultArming::ThreadArmed());
+  const bool caller_armed = ScopedFaultArming::ThreadArmed();
+  bool fresh = true, copied = false;
+  std::thread helper([&] {
+    fresh = ScopedFaultArming::ThreadArmed();
+    ScopedFaultArming arm(caller_armed);
+    copied = ScopedFaultArming::ThreadArmed();
+  });
+  helper.join();
+  EXPECT_FALSE(fresh);
+  EXPECT_TRUE(copied);
+  {
+    ScopedFaultArming off(false);
+    EXPECT_FALSE(ScopedFaultArming::ThreadArmed());
+  }
+  EXPECT_TRUE(ScopedFaultArming::ThreadArmed());
+}
+
 TEST(FaultyEnvTest, ConfigFromEnvOverridesDefaults) {
   FaultyEnv::Config defaults;
   defaults.seed = 1;

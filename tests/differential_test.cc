@@ -20,6 +20,7 @@
 
 #include "analyzer/analyzer.h"
 #include "analyzer/index_gen.h"
+#include "columnar/seqfile.h"
 #include "common/env.h"
 #include "common/faulty_env.h"
 #include "core/manimal.h"
@@ -638,6 +639,91 @@ TEST_P(StaleInputDifferential, RewrittenInputMatchesBaseline) {
 INSTANTIATE_TEST_SUITE_P(RewrittenRows, StaleInputDifferential,
                          ::testing::Values(30000, 20000));
 
+// Sweeps fail_nth over rebuilds of `spec`, already cataloged for
+// `input`: the nth armed filesystem operation of the rebuild fails
+// (short writes included), until a rebuild runs past the last one.
+// After every failed rebuild the cataloged artifact must still be
+// planned (`path`) and `job`'s Submit output must equal `baseline`.
+// Returns the failed rebuilds' statuses.
+std::vector<Status> SweepFailedRebuilds(
+    core::ManimalSystem* system, const analyzer::IndexGenProgram& spec,
+    const std::string& input, core::ManimalSystem::Submission job,
+    exec::AccessPath path, const std::vector<std::string>& baseline,
+    const TempDir& dir) {
+  FaultyEnv::Config defaults;
+  defaults.seed = 1;
+  FaultyEnv::Config config = FaultyEnv::ConfigFromEnv(defaults);
+  config.rate = 0;
+  std::vector<Status> failed;
+  for (uint64_t nth = 1;; ++nth) {
+    SCOPED_TRACE("fail_nth " + std::to_string(nth));
+    config.fail_nth = nth;
+    Status rebuilt;
+    {
+      ScopedFaultInjection inject(config);
+      ScopedFaultArming arm;
+      rebuilt = system->BuildIndex(spec, input).status();
+    }
+    job.output_path = dir.file("opt-" + std::to_string(nth) + ".prs");
+    auto outcome = system->Submit(job);
+    EXPECT_OK(outcome.status());
+    if (!outcome.ok()) break;
+    EXPECT_EQ(outcome->plan.descriptor.access_path, path);
+    EXPECT_NE(outcome->plan.descriptor.data_path, input);
+    auto pairs = exec::ReadCanonicalPairs(job.output_path);
+    EXPECT_OK(pairs.status());
+    if (!pairs.ok()) break;
+    EXPECT_EQ(*pairs, baseline) << "after: " << rebuilt.ToString();
+    if (*pairs != baseline) break;
+    if (rebuilt.ok()) break;  // past the last injection site
+    failed.push_back(rebuilt);
+    if (nth >= 10000) {
+      ADD_FAILURE() << "rebuild never completed";
+      break;
+    }
+  }
+  return failed;
+}
+
+// Opens a system over `dir`/ws, catalogs the first synthesized spec of
+// `program` matching `pred` for `input`, and runs the conventional job
+// into *baseline.
+template <typename Pred>
+std::unique_ptr<core::ManimalSystem> OpenWithArtifact(
+    const TempDir& dir, const mril::Program& program,
+    const std::string& input, Pred pred, analyzer::IndexGenProgram* spec,
+    core::ManimalSystem::Submission* job,
+    std::vector<std::string>* baseline) {
+  core::ManimalSystem::Options options;
+  options.workspace_dir = dir.file("ws");
+  options.simulated_startup_seconds = 0;
+  auto system = core::ManimalSystem::Open(options);
+  EXPECT_OK(system.status());
+  auto report = analyzer::Analyze(program);
+  EXPECT_OK(report.status());
+  if (!system.ok() || !report.ok()) return nullptr;
+  bool found = false;
+  for (const analyzer::IndexGenProgram& s :
+       analyzer::SynthesizeIndexPrograms(program, *report)) {
+    if (!found && pred(s)) {
+      *spec = s;
+      found = true;
+    }
+  }
+  EXPECT_TRUE(found) << "no matching spec for " << program.name;
+  if (!found) return nullptr;
+  EXPECT_OK((*system)->BuildIndex(*spec, input).status());
+  job->program = program;
+  job->input_path = input;
+  job->output_path = dir.file("baseline.prs");
+  EXPECT_OK((*system)->RunBaseline(*job).status());
+  auto pairs = exec::ReadCanonicalPairs(job->output_path);
+  EXPECT_OK(pairs.status());
+  if (!pairs.ok()) return nullptr;
+  *baseline = std::move(pairs).value();
+  return std::move(system).value();
+}
+
 // Column-group artifacts commit by temp + rename. A rebuild of the same
 // spec on the same input reuses the artifact's paths; failing it at any
 // one filesystem operation (fail_nth sweeps every site, short writes
@@ -651,55 +737,86 @@ TEST(ColumnGroupTornRebuild, FailedRebuildKeepsCatalogedArtifact) {
   gen.content_len = 48;
   gen.rank_range = kRankRange;
   ASSERT_OK(workloads::GenerateWebPages(input, gen).status());
-  const mril::Program program = workloads::ProjectionQuery(kRankRange / 2);
 
-  core::ManimalSystem::Options options;
-  options.workspace_dir = dir.file("ws");
-  options.simulated_startup_seconds = 0;
-  ASSERT_OK_AND_ASSIGN(auto system, core::ManimalSystem::Open(options));
-  ASSERT_OK_AND_ASSIGN(auto report, analyzer::Analyze(program));
-  const analyzer::IndexGenProgram* groups = nullptr;
-  const auto specs = analyzer::SynthesizeIndexPrograms(program, report);
-  for (const analyzer::IndexGenProgram& spec : specs) {
-    if (spec.column_groups) groups = &spec;
-  }
-  ASSERT_NE(groups, nullptr);
-  ASSERT_OK(system->BuildIndex(*groups, input).status());
-
+  analyzer::IndexGenProgram groups;
   core::ManimalSystem::Submission job;
-  job.program = program;
-  job.input_path = input;
-  job.output_path = dir.file("baseline.prs");
-  ASSERT_OK(system->RunBaseline(job).status());
-  ASSERT_OK_AND_ASSIGN(auto baseline,
-                       exec::ReadCanonicalPairs(job.output_path));
-
-  FaultyEnv::Config defaults;
-  defaults.seed = 1;
-  FaultyEnv::Config config = FaultyEnv::ConfigFromEnv(defaults);
-  config.rate = 0;
-  uint64_t nth = 1;
-  for (;; ++nth) {
-    SCOPED_TRACE("fail_nth " + std::to_string(nth));
-    config.fail_nth = nth;
-    Status rebuilt;
-    {
-      ScopedFaultInjection inject(config);
-      ScopedFaultArming arm;
-      rebuilt = system->BuildIndex(*groups, input).status();
-    }
-    job.output_path = dir.file("opt-" + std::to_string(nth) + ".prs");
-    ASSERT_OK_AND_ASSIGN(auto outcome, system->Submit(job));
-    EXPECT_EQ(outcome.plan.descriptor.access_path,
-              exec::AccessPath::kColumnGroups);
-    ASSERT_OK_AND_ASSIGN(auto pairs,
-                         exec::ReadCanonicalPairs(job.output_path));
-    ASSERT_EQ(pairs, baseline) << "after: " << rebuilt.ToString();
-    if (rebuilt.ok()) break;  // past the last injection site
-    ASSERT_LT(nth, 10000u) << "rebuild never completed";
-  }
-  EXPECT_GT(nth, 5u) << "the sweep never reached the sibling files";
+  std::vector<std::string> baseline;
+  auto system = OpenWithArtifact(
+      dir, workloads::ProjectionQuery(kRankRange / 2), input,
+      [](const analyzer::IndexGenProgram& s) { return s.column_groups; },
+      &groups, &job, &baseline);
+  ASSERT_NE(system, nullptr);
+  const std::vector<Status> failed =
+      SweepFailedRebuilds(system.get(), groups, input, job,
+                          exec::AccessPath::kColumnGroups, baseline, dir);
+  EXPECT_GE(failed.size(), 5u) << "the sweep never reached the sibling files";
 }
+
+// The same sweep over the rebuilds whose scan runs on parallel workers
+// (map_parallelism 4, the default): a locator B+Tree and a re-encoded
+// (projected) SeqFile, over an input of more than 16 blocks. The
+// workers read the input armed exactly when the caller is, so the
+// sweep must also fail the workers' block reads: at least half as many
+// input reads as the input has blocks.
+enum class RebuiltArtifact { kBTree, kReencoded };
+
+class ParallelTornRebuild
+    : public ::testing::TestWithParam<RebuiltArtifact> {};
+
+TEST_P(ParallelTornRebuild, FailedRebuildKeepsCatalogedArtifact) {
+  TempDir dir("diff-parallel-torn");
+  const std::string input = dir.file("pages.msq");
+  workloads::WebPagesOptions gen;
+  gen.num_pages = 3000;
+  gen.content_len = 64;
+  gen.rank_range = kRankRange;
+  ASSERT_OK(workloads::GenerateWebPages(input, gen).status());
+  ASSERT_OK_AND_ASSIGN(auto reader, columnar::SeqFileReader::Open(input));
+  const uint64_t blocks = reader->num_blocks();
+  ASSERT_GE(blocks, 16u);
+
+  const bool tree = GetParam() == RebuiltArtifact::kBTree;
+  analyzer::IndexGenProgram spec;
+  core::ManimalSystem::Submission job;
+  std::vector<std::string> baseline;
+  auto system =
+      tree ? OpenWithArtifact(
+                 dir, workloads::SelectionCountQuery(kRankRange / 20), input,
+                 [](const analyzer::IndexGenProgram& s) {
+                   return s.btree && !s.clustered && !s.projection;
+                 },
+                 &spec, &job, &baseline)
+           : OpenWithArtifact(
+                 dir, workloads::ProjectionQuery(kRankRange / 2), input,
+                 [](const analyzer::IndexGenProgram& s) {
+                   return s.projection && !s.btree && !s.column_groups;
+                 },
+                 &spec, &job, &baseline);
+  ASSERT_NE(system, nullptr);
+  ASSERT_EQ(system->options().map_parallelism, 4);
+  const std::vector<Status> failed = SweepFailedRebuilds(
+      system.get(), spec, input, job,
+      tree ? exec::AccessPath::kBTree : exec::AccessPath::kSeqScan, baseline,
+      dir);
+  const std::string input_read = "injected fault: read " + input;
+  uint64_t input_reads = 0;
+  for (const Status& status : failed) {
+    if (status.ToString().find(input_read) != std::string::npos) {
+      ++input_reads;
+    }
+  }
+  EXPECT_GE(2 * input_reads, blocks)
+      << "only " << input_reads << " of " << failed.size()
+      << " failed rebuilds failed on an input read";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Artifacts, ParallelTornRebuild,
+    ::testing::Values(RebuiltArtifact::kBTree, RebuiltArtifact::kReencoded),
+    [](const ::testing::TestParamInfo<RebuiltArtifact>& info) {
+      return std::string(info.param == RebuiltArtifact::kBTree ? "BTree"
+                                                               : "Reencoded");
+    });
 
 }  // namespace
 }  // namespace manimal

@@ -1,19 +1,28 @@
 // Tests for the execution fabric: pair files, input planning (seqscan
-// and both B+Tree layouts), the MapReduce engine, and index builds.
+// and both B+Tree layouts), the MapReduce engine, and index builds
+// (serial and parallel).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
+#include "analysis/expr.h"
 #include "analyzer/analyzer.h"
+#include "analyzer/expr_eval.h"
+#include "columnar/seqfile.h"
 #include "common/faulty_env.h"
+#include "common/strings.h"
 #include "exec/engine.h"
 #include "exec/index_build.h"
 #include "exec/pairfile.h"
+#include "index/btree.h"
 #include "mril/builder.h"
+#include "mril/builtins.h"
 #include "obs/metrics.h"
 #include "optimizer/optimizer.h"
+#include "serde/key_codec.h"
 #include "tests/test_util.h"
 #include "workloads/datagen.h"
 #include "workloads/pavlo.h"
@@ -761,6 +770,236 @@ TEST_F(EngineFaultTest, FailedJobRemovesPartialOutput) {
   EXPECT_FALSE(FileExists(config.output_path));
   EXPECT_FALSE(FileExists(config.output_path + ".inprogress"));
 }
+
+
+// ---------------- parallel index builds ----------------
+
+// Index builds split their scan over worker threads (one ordered
+// consumer keeps every order-dependent step), so the parallelism must
+// not show in anything a build writes.
+class ParallelBuildTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  ParallelBuildTest() : dir_("parallel-build") {
+    // WebPages-shaped rows whose content is a 30-to-50-byte run of
+    // words, so str builtins on it see borrowed (non-inline) strings.
+    static const char* kWords[] = {"alpha", "beta",    "gamma", "delta",
+                                   "eps",   "zetazeta", "eta",   "theta"};
+    auto writer = columnar::SeqFileWriter::Create(
+        input(), columnar::PlainMeta(workloads::WebPagesSchema()));
+    EXPECT_OK(writer.status());
+    for (uint64_t i = 0; i < GetParam(); ++i) {
+      std::string content;
+      for (uint64_t w = 0; w < 6 + i % 3; ++w) {
+        if (w > 0) content += ' ';
+        content += kWords[(i * 7 + w * 3 + w * w) % 8];
+      }
+      Record record = {
+          Value::Str(StrPrintf("http://www.site%llu.example.com/page.html",
+                               static_cast<unsigned long long>(i % 700))),
+          Value::I64(static_cast<int64_t>((i * 7919) % 1000)),
+          Value::Str(content)};
+      EXPECT_OK((*writer)->Append(record));
+    }
+    EXPECT_OK((*writer)->Finish().status());
+  }
+
+  std::string input() const { return dir_.file("pages.msq"); }
+
+  TempDir dir_;
+};
+
+analysis::ExprRef FieldOf(int field) {
+  return analysis::Expr::MakeField(analysis::Expr::MakeParam(1, 0), field,
+                                   0);
+}
+
+analysis::ExprRef ModOf(analysis::ExprRef arg, int64_t divisor) {
+  return analysis::Expr::MakeOp(
+      mril::Opcode::kMod,
+      {std::move(arg), analysis::Expr::MakeConst(Value::I64(divisor), 0)},
+      0);
+}
+
+// Every CatalogEntry field, for equality.
+std::string EntryFields(const index::CatalogEntry& e) {
+  return StrPrintf("%s|%s|%s|%s|%s|%s|%llu|%llu|%s|%llu|%s",
+                   e.input_file.c_str(), e.signature.c_str(),
+                   e.artifact_path.c_str(), e.dict_path.c_str(),
+                   e.base_path.c_str(), e.stats_path.c_str(),
+                   static_cast<unsigned long long>(e.artifact_bytes),
+                   static_cast<unsigned long long>(e.input_bytes),
+                   e.codec_chain.c_str(),
+                   static_cast<unsigned long long>(e.raw_bytes),
+                   e.input_fingerprint.c_str());
+}
+
+// Every file under `dir`, by name, with its bytes.
+std::map<std::string, std::string> FilesIn(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  auto names = ListDir(dir);
+  EXPECT_OK(names.status());
+  if (!names.ok()) return files;
+  for (const std::string& name : *names) {
+    auto bytes = ReadFileToString(dir + "/" + name);
+    EXPECT_OK(bytes.status());
+    if (bytes.ok()) files[name] = std::move(bytes).value();
+  }
+  return files;
+}
+
+TEST_P(ParallelBuildTest, EveryParallelismWritesTheSameBytes) {
+  ASSERT_OK_AND_ASSIGN(auto reader, columnar::SeqFileReader::Open(input()));
+  if (GetParam() > 1000) {
+    // More blocks than the widest window (2 x 8 workers).
+    ASSERT_GT(reader->num_blocks(), 16u);
+  } else {
+    ASSERT_EQ(reader->num_blocks(), GetParam() > 0 ? 1u : 0u);
+  }
+  const mril::Builtin* word_at =
+      mril::BuiltinRegistry::Get().FindByName("str.word_at");
+  ASSERT_NE(word_at, nullptr);
+
+  std::vector<std::pair<std::string, analyzer::IndexGenProgram>> specs;
+  auto add = [&](const std::string& name) -> analyzer::IndexGenProgram& {
+    analyzer::IndexGenProgram spec;
+    spec.input_schema = workloads::WebPagesSchema().ToString();
+    specs.emplace_back(name, std::move(spec));
+    return specs.back().second;
+  };
+  {
+    auto& spec = add("locator B+Tree on a field");
+    spec.btree = true;
+    spec.key_expr = FieldOf(1);
+  }
+  {
+    auto& spec = add("B+Tree on a computed key");
+    spec.btree = true;
+    spec.key_expr = ModOf(FieldOf(1), 7);
+  }
+  {
+    // word_at memoizes its scan position per string; a word index
+    // that varies by row makes a stale memo on a reused block buffer
+    // resume from the wrong offset.
+    auto& spec = add("B+Tree on str.word_at of a long field");
+    spec.btree = true;
+    spec.key_expr = analysis::Expr::MakeCall(
+        word_at, {FieldOf(2), ModOf(FieldOf(1), 4)}, 0);
+  }
+  {
+    auto& spec = add("B+Tree with a projected sibling");
+    spec.btree = true;
+    spec.key_expr = FieldOf(1);
+    spec.projection = true;
+    spec.kept_fields = {1, 2};
+  }
+  {
+    auto& spec = add("clustered B+Tree");
+    spec.btree = true;
+    spec.clustered = true;
+    spec.key_expr = FieldOf(1);
+  }
+  {
+    auto& spec = add("projection + delta");
+    spec.projection = true;
+    spec.kept_fields = {0, 1};
+    spec.delta = true;
+    spec.delta_fields = {1};
+  }
+  {
+    auto& spec = add("dictionary");
+    spec.dictionary = true;
+    spec.dict_fields = {0};
+  }
+  {
+    auto& spec = add("column groups");
+    spec.column_groups = true;
+    spec.grouping = {{0}, {1, 2}};
+  }
+
+  for (const auto& [name, spec] : specs) {
+    SCOPED_TRACE(name);
+    std::string want_entry;
+    std::map<std::string, std::string> want_files;
+    for (int parallelism : {1, 2, 3, 8}) {
+      SCOPED_TRACE("parallelism " + std::to_string(parallelism));
+      const std::string artifacts = dir_.file("artifacts");
+      ASSERT_OK(RemoveDirRecursively(artifacts));
+      ASSERT_OK_AND_ASSIGN(
+          IndexBuildResult build,
+          BuildIndexArtifact(spec, input(), artifacts, dir_.file("tmp"),
+                             nullptr, parallelism));
+      EXPECT_EQ(build.records, GetParam());
+      if (GetParam() > 0 && spec.btree &&
+          analysis::ValueFieldIndex(spec.key_expr) < 0) {
+        ASSERT_NE(build.stats, nullptr);
+        EXPECT_EQ(build.stats->columns.count("expr:" +
+                                             spec.key_expr->ToString()),
+                  1u);
+      }
+      const std::string entry = EntryFields(build.entry);
+      std::map<std::string, std::string> files = FilesIn(artifacts);
+      if (parallelism == 1) {
+        want_entry = entry;
+        want_files = std::move(files);
+        continue;
+      }
+      EXPECT_EQ(entry, want_entry);
+      ASSERT_EQ(files.size(), want_files.size());
+      for (const auto& [file, bytes] : want_files) {
+        ASSERT_EQ(files.count(file), 1u) << file;
+        EXPECT_TRUE(files[file] == bytes) << file << " differs";
+      }
+    }
+  }
+}
+
+// The word_at tree's keys, read back in order, against the keys
+// evaluated over a plain scan of owned records.
+TEST_P(ParallelBuildTest, StrBuiltinKeysMatchAPlainScan) {
+  const mril::Builtin* word_at =
+      mril::BuiltinRegistry::Get().FindByName("str.word_at");
+  ASSERT_NE(word_at, nullptr);
+  analyzer::IndexGenProgram spec;
+  spec.input_schema = workloads::WebPagesSchema().ToString();
+  spec.btree = true;
+  spec.key_expr = analysis::Expr::MakeCall(
+      word_at, {FieldOf(2), ModOf(FieldOf(1), 4)}, 0);
+
+  std::vector<std::string> want;
+  ASSERT_OK_AND_ASSIGN(auto reader, columnar::SeqFileReader::Open(input()));
+  ASSERT_OK_AND_ASSIGN(auto stream, reader->ScanAll());
+  int64_t key = 0;
+  Record record;
+  for (;;) {
+    ASSERT_OK_AND_ASSIGN(bool more, stream.Next(&key, &record));
+    if (!more) break;
+    ASSERT_OK_AND_ASSIGN(
+        Value index_key,
+        analyzer::EvalExpr(spec.key_expr, Value::I64(key),
+                           Value::List(record)));
+    std::string bytes;
+    ASSERT_OK(EncodeOrderedKey(index_key, &bytes));
+    want.push_back(std::move(bytes));
+  }
+  std::sort(want.begin(), want.end());
+
+  ASSERT_OK_AND_ASSIGN(
+      IndexBuildResult build,
+      BuildIndexArtifact(spec, input(), dir_.file("artifacts"),
+                         dir_.file("tmp"), nullptr, /*parallelism=*/3));
+  ASSERT_OK_AND_ASSIGN(auto tree,
+                       index::BTreeReader::Open(build.entry.artifact_path));
+  std::vector<std::string> got;
+  ASSERT_OK_AND_ASSIGN(auto it, tree->SeekToFirst());
+  while (it.Valid()) {
+    got.emplace_back(it.key());
+    ASSERT_OK(it.Next());
+  }
+  EXPECT_EQ(got, want);
+}
+
+INSTANTIATE_TEST_SUITE_P(Rows, ParallelBuildTest,
+                         ::testing::Values(4000, 20, 0));
 
 }  // namespace
 }  // namespace manimal::exec

@@ -1,11 +1,14 @@
 // Tests for statistics per input version (DESIGN.md §7): the per-row
-// collector against one reference ColumnStatsCollector per column, one
+// collector, whole and split into its in-order sample and merged KMV
+// sketches, against one reference ColumnStatsCollector per column, one
 // stats file per input version shared by every catalog entry of it,
 // reuse across builds of that version, stale entries after the input
 // is rewritten, and the fallbacks when the stats file goes bad.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -29,10 +32,13 @@ namespace {
 
 using testing::TempDir;
 
-// Feeds every record of the plain SeqFile at `path` both to one
-// ColumnStatsCollector per field and to a TableStatsCollector over the
-// same fields. The shared per-row reservoir decision must reproduce
-// every column exactly.
+// Feeds every record of the plain SeqFile at `path` to one
+// ColumnStatsCollector per field, to a TableStatsCollector over the
+// same fields, and to a split one: AddRowSample in row order, plus KMV
+// sketches built over an uneven partition of the rows and merged in
+// shuffled order, as parallel index builds feed it. The shared per-row
+// reservoir decision and the merged sketches must reproduce every
+// column exactly.
 void ExpectRowCollectorMatchesPerColumn(const std::string& path) {
   ASSERT_OK_AND_ASSIGN(auto reader, columnar::SeqFileReader::Open(path));
   const int nfields = reader->meta().original_schema.num_fields();
@@ -42,6 +48,11 @@ void ExpectRowCollectorMatchesPerColumn(const std::string& path) {
   }
   std::vector<ColumnStatsCollector> reference(nfields);
   TableStatsCollector table(names);
+  TableStatsCollector split(names);
+  std::mt19937 rng(7);
+  std::discrete_distribution<int> part_of({50, 30, 15, 5});
+  std::vector<std::vector<KmvSketch>> parts(
+      4, std::vector<KmvSketch>(nfields));
   ASSERT_OK_AND_ASSIGN(auto stream, reader->ScanAll());
   Record record;
   std::vector<std::string> keys(nfields);
@@ -50,27 +61,36 @@ void ExpectRowCollectorMatchesPerColumn(const std::string& path) {
   for (;;) {
     ASSERT_OK_AND_ASSIGN(bool more, stream.Next(&record));
     if (!more) break;
+    const int part = part_of(rng);
     for (int i = 0; i < nfields; ++i) {
       keys[i].clear();
       ASSERT_OK(EncodeOrderedKey(record[i], &keys[i]));
       reference[i].Add(keys[i]);
+      parts[part][i].Add(keys[i]);
       views[i] = keys[i];
     }
     table.AddRow(views);
+    split.AddRowSample(views);
     ++rows;
   }
   ASSERT_GT(rows, 1024u) << "the reservoir must overflow to be tested";
-  const TableStats collected = table.Finish();
-  EXPECT_EQ(collected.row_count, rows);
-  ASSERT_EQ(collected.columns.size(), names.size());
-  for (int i = 0; i < nfields; ++i) {
-    SCOPED_TRACE(names[i]);
-    const ColumnStats want = reference[i].Finish();
-    const ColumnStats& got = collected.columns.at(names[i]);
-    EXPECT_EQ(got.row_count, want.row_count);
-    EXPECT_EQ(got.histogram, want.histogram);
-    EXPECT_EQ(got.sample, want.sample);
-    EXPECT_EQ(got.ndv, want.ndv);
+  std::vector<int> merge_order = {0, 1, 2, 3};
+  std::shuffle(merge_order.begin(), merge_order.end(), rng);
+  for (int part : merge_order) {
+    for (int i = 0; i < nfields; ++i) split.MergeSketch(i, parts[part][i]);
+  }
+  for (const TableStats& collected : {table.Finish(), split.Finish()}) {
+    EXPECT_EQ(collected.row_count, rows);
+    ASSERT_EQ(collected.columns.size(), names.size());
+    for (int i = 0; i < nfields; ++i) {
+      SCOPED_TRACE(names[i]);
+      const ColumnStats want = reference[i].Finish();
+      const ColumnStats& got = collected.columns.at(names[i]);
+      EXPECT_EQ(got.row_count, want.row_count);
+      EXPECT_EQ(got.histogram, want.histogram);
+      EXPECT_EQ(got.sample, want.sample);
+      EXPECT_EQ(got.ndv, want.ndv);
+    }
   }
 }
 
