@@ -313,7 +313,7 @@ Status SeqFileReader::Init(const std::string& path) {
   MANIMAL_RETURN_IF_ERROR(GetFixed64(&in, &nrecords));
   MANIMAL_RETURN_IF_ERROR(GetFixed64(&in, &footer_offset));
   MANIMAL_RETURN_IF_ERROR(GetFixed32(&in, &magic));
-  if (magic != 0x5E0F0075) {
+  if (magic != kFooterMagic) {
     return Status::Corruption("bad seqfile footer magic: " + path);
   }
   num_records_ = nrecords;
@@ -387,27 +387,48 @@ Status SeqFileReader::Init(const std::string& path) {
   }
 
   // Footer body: offsets, cumulative counts, then (v2) the skip
-  // frames, sized by the frame-slot list just parsed.
+  // frames, sized by the frame-slot list just parsed. It must fill the
+  // bytes between the footer offset and the tail exactly; the block
+  // count is checked by division, so no product below can wrap.
+  const uint64_t header_end = head.size() - hin.size();
+  const uint64_t nframe = frame_slots_.size();
+  const uint64_t per_block = 16 + nframe * 16;
+  const uint64_t footer_end = file_size_ - kFooterTail;
+  if (footer_offset < header_end || footer_offset > footer_end ||
+      nblocks > (footer_end - footer_offset) / per_block ||
+      nblocks * per_block != footer_end - footer_offset) {
+    return Status::Corruption("seqfile footer does not fit the file: " +
+                              path);
+  }
+  if (nblocks == 0 && nrecords != 0) {
+    return Status::Corruption("seqfile records without blocks: " + path);
+  }
   if (nblocks > 0) {
-    const uint64_t nframe = frame_slots_.size();
-    const uint64_t footer_body = nblocks * 16 + nblocks * nframe * 16;
-    if (footer_offset + footer_body + kFooterTail > file_size_) {
-      return Status::Corruption("seqfile footer overruns file: " + path);
-    }
-    std::string offsets;
+    std::string footer;
     MANIMAL_RETURN_IF_ERROR(
-        file->ReadAt(footer_offset, footer_body, &offsets));
-    std::string_view oin = offsets;
+        file->ReadAt(footer_offset, nblocks * per_block, &footer));
+    std::string_view oin = footer;
+    // Blocks tile [header_end, footer_offset): offsets rise strictly.
     block_offsets_.reserve(nblocks);
     for (uint64_t i = 0; i < nblocks; ++i) {
       uint64_t off = 0;
       MANIMAL_RETURN_IF_ERROR(GetFixed64(&oin, &off));
+      if (off >= footer_offset ||
+          (i == 0 ? off < header_end : off <= block_offsets_.back())) {
+        return Status::Corruption("seqfile block offsets out of order: " +
+                                  path);
+      }
       block_offsets_.push_back(off);
     }
     block_cum_records_.reserve(nblocks);
     for (uint64_t i = 0; i < nblocks; ++i) {
       uint64_t cum = 0;
       MANIMAL_RETURN_IF_ERROR(GetFixed64(&oin, &cum));
+      if (cum > nrecords ||
+          (i == 0 ? cum != 0 : cum < block_cum_records_.back())) {
+        return Status::Corruption("seqfile record counts out of order: " +
+                                  path);
+      }
       block_cum_records_.push_back(cum);
     }
     if (nframe > 0) {
@@ -546,48 +567,9 @@ Status SeqFileReader::DecodeStored(std::string_view* in,
   return Status::OK();
 }
 
-Status SeqFileReader::ReadBlockBody(RandomAccessFile* file,
-                                    uint64_t block, std::string* body,
-                                    uint64_t* bytes_read,
-                                    uint64_t* bytes_decoded) const {
-  std::string raw;
-  MANIMAL_RETURN_IF_ERROR(
-      file->ReadAt(block_offsets_[block], block_sizes_[block], &raw));
-  *bytes_read += raw.size();
-  std::string_view in = raw;
-  uint32_t body_len = 0;
-  MANIMAL_RETURN_IF_ERROR(GetFixed32(&in, &body_len));
-  if (in.size() != body_len) {
-    return Status::Corruption("block length mismatch");
-  }
-  body->clear();
-  if (version_ >= 2) {
-    MANIMAL_RETURN_IF_ERROR(CodecChain::DecompressBlock(in, body));
-  } else {
-    body->assign(in.data(), in.size());
-  }
-  *bytes_decoded += body->size();
-  return Status::OK();
-}
-
-Status SeqFileReader::RecordStream::LoadNextBlock() {
-  const SeqFileReader& r = *reader_;
-  MANIMAL_RETURN_IF_ERROR(r.ReadBlockBody(file_.get(), next_block_,
-                                          &block_data_, &bytes_read_,
-                                          &bytes_decoded_));
-  cursor_ = block_data_;
-  MANIMAL_RETURN_IF_ERROR(GetVarint32(&cursor_, &remaining_));
-  record_in_block_ = 0;
-  delta_prev_.assign(r.meta_.delta_slots.size(), 0);
-  next_ordinal_ =
-      static_cast<int64_t>(r.block_cum_records_[next_block_]);
-  ++next_block_;
-  return Status::OK();
-}
-
 Result<bool> SeqFileReader::RecordStream::Next(int64_t* key,
                                                Record* record) {
-  while (remaining_ == 0) {
+  while (index_ >= block_.records.size()) {
     if (next_block_ >= end_block_) return false;
     if (skip_blocks_ != nullptr && next_block_ < skip_blocks_->size() &&
         (*skip_blocks_)[next_block_]) {
@@ -598,19 +580,18 @@ Result<bool> SeqFileReader::RecordStream::Next(int64_t* key,
       ++next_block_;
       continue;
     }
-    MANIMAL_RETURN_IF_ERROR(LoadNextBlock());
+    // A failed decode leaves block_ half filled: hand none of it out.
+    index_ = SIZE_MAX;
+    MANIMAL_RETURN_IF_ERROR(reader_->DecodeBlock(file_.get(), next_block_,
+                                                 borrow_strings_, &block_,
+                                                 &bytes_read_,
+                                                 &bytes_decoded_));
+    index_ = 0;
+    ++next_block_;
   }
-  if (reader_->meta_.has_key_slot) {
-    MANIMAL_RETURN_IF_ERROR(GetVarintSigned(&cursor_, key));
-  } else {
-    *key = next_ordinal_;
-  }
-  ++next_ordinal_;
-  ++record_in_block_;
-  MANIMAL_RETURN_IF_ERROR(
-      reader_->DecodeStored(&cursor_, &delta_prev_, record,
-                            borrow_strings_));
-  --remaining_;
+  *key = block_.keys[index_];
+  std::swap(*record, block_.records[index_]);
+  ++index_;
   return true;
 }
 
@@ -628,9 +609,24 @@ Status SeqFileReader::DecodeBlock(RandomAccessFile* file, uint64_t block,
   if (block >= num_blocks()) {
     return Status::InvalidArgument("block index out of range");
   }
+  std::string raw;
   MANIMAL_RETURN_IF_ERROR(
-      ReadBlockBody(file, block, &out->body, bytes_read, bytes_decoded));
-  std::string_view in = out->body;
+      file->ReadAt(block_offsets_[block], block_sizes_[block], &raw));
+  *bytes_read += raw.size();
+  std::string_view in = raw;
+  uint32_t body_len = 0;
+  MANIMAL_RETURN_IF_ERROR(GetFixed32(&in, &body_len));
+  if (in.size() != body_len) {
+    return Status::Corruption("block length mismatch");
+  }
+  out->body.clear();
+  if (version_ >= 2) {
+    MANIMAL_RETURN_IF_ERROR(CodecChain::DecompressBlock(in, &out->body));
+  } else {
+    out->body.assign(in.data(), in.size());
+  }
+  *bytes_decoded += out->body.size();
+  in = out->body;
   uint32_t count = 0;
   MANIMAL_RETURN_IF_ERROR(GetVarint32(&in, &count));
   if (count != BlockRecordCount(block)) {
@@ -648,6 +644,9 @@ Status SeqFileReader::DecodeBlock(RandomAccessFile* file, uint64_t block,
     out->keys[i] = key;
     MANIMAL_RETURN_IF_ERROR(DecodeStored(&in, &delta_prev, &out->records[i],
                                          borrow_strings));
+  }
+  if (!in.empty()) {
+    return Status::Corruption("block has bytes after its records");
   }
   return Status::OK();
 }

@@ -38,6 +38,17 @@
 // Blocks are the split granularity for the execution fabric: a map
 // task owns a contiguous block range. Each RecordStream opens its own
 // file handle, so parallel tasks can scan disjoint ranges of one file.
+//
+// One decoder reads blocks: SeqFileReader::DecodeBlock, called by job
+// scans (RecordStream), B+Tree locator reads (BlockAccessor) and
+// index-build workers alike. Open checks the footer once: the block
+// count fits between the footer offset and the 28-byte tail, where the
+// footer must end exactly; block offsets rise strictly from the
+// header's end to the footer; cumulative counts start at 0, never
+// decrease and never exceed the total, and a nonzero total has blocks.
+// DecodeBlock checks each block: its length prefix, its codec frame
+// (v2), its record count against the footer's, and that no bytes
+// follow its counted records. Each failure is a Corruption status.
 
 #ifndef MANIMAL_COLUMNAR_SEQFILE_H_
 #define MANIMAL_COLUMNAR_SEQFILE_H_
@@ -219,13 +230,28 @@ class SeqFileReader
            static_cast<double>(block_sizes_.size());
   }
 
-  // Streams records of a contiguous block range [begin, end).
-  // Dict-encoded slots surface as i64 codes (direct operation); use
-  // the dictionary sidecar to decode when string values are needed.
+  // One block, decoded whole. Decoding into it again reuses its
+  // buffers.
+  struct DecodedBlock {
+    std::string body;  // raw (decompressed) block body
+    // keys[i] is records[i]'s map() key: the persisted one
+    // (has_key_slot) or the global ordinal.
+    std::vector<int64_t> keys;
+    std::vector<Record> records;
+  };
+
+  // Streams records of a contiguous block range [begin, end), one
+  // DecodeBlock at a time. Dict-encoded slots surface as i64 codes
+  // (direct operation); use the dictionary sidecar to decode when
+  // string values are needed.
   class RecordStream {
    public:
     // Returns true and fills *key / *record while records remain. The
     // key is the persisted one (has_key_slot) or the global ordinal.
+    // The record is swapped out of the decoded block, and the list
+    // *record held takes its place as storage for a later block: a
+    // caller that passes the same list each time decodes without
+    // allocating.
     Result<bool> Next(int64_t* key, Record* record);
     Result<bool> Next(Record* record) {
       int64_t ignored = 0;
@@ -250,15 +276,10 @@ class SeqFileReader
     // Opt-in zero-copy decode: str fields in records returned by
     // Next() become Value::Borrowed views into the stream's block
     // buffer instead of heap copies. The views stay valid until the
-    // next Next() call (which may replace the buffer when it crosses a
-    // block boundary), so the caller must finish with — or ToOwned() —
-    // each record before advancing. Off by default.
+    // next Next() call (which may decode the next block into that
+    // buffer), so the caller must finish with — or ToOwned() — each
+    // record before advancing. Off by default.
     void set_borrow_strings(bool b) { borrow_strings_ = b; }
-
-    // Position of the record most recently returned by Next() —
-    // the locator an index can later resolve via BlockAccessor.
-    uint64_t current_block() const { return next_block_ - 1; }
-    uint32_t current_index_in_block() const { return record_in_block_ - 1; }
 
    private:
     friend class SeqFileReader;
@@ -270,22 +291,16 @@ class SeqFileReader
           next_block_(begin_block),
           end_block_(end_block) {}
 
-    Status LoadNextBlock();
-
     std::shared_ptr<const SeqFileReader> reader_;
     std::unique_ptr<RandomAccessFile> file_;
     uint64_t next_block_;
     uint64_t end_block_;
-    std::string block_data_;
-    std::string_view cursor_;
-    uint32_t remaining_ = 0;
-    uint32_t record_in_block_ = 0;
-    std::vector<int64_t> delta_prev_;
+    DecodedBlock block_;
+    size_t index_ = 0;  // next record of block_ to hand out
     uint64_t bytes_read_ = 0;
     uint64_t bytes_decoded_ = 0;
     uint64_t blocks_skipped_ = 0;
     uint64_t records_skipped_ = 0;
-    int64_t next_ordinal_ = 0;  // synthesized key counter
     bool borrow_strings_ = false;
     std::shared_ptr<const std::vector<bool>> skip_blocks_;
   };
@@ -295,23 +310,15 @@ class SeqFileReader
   Result<RecordStream> Scan(uint64_t begin_block, uint64_t end_block) const;
   Result<RecordStream> ScanAll() const { return Scan(0, num_blocks()); }
 
-  // One block, decoded whole. Decoding into it again reuses its
-  // buffers.
-  struct DecodedBlock {
-    std::string body;  // raw (decompressed) block body
-    // keys[i] is records[i]'s map() key: the persisted one
-    // (has_key_slot) or the global ordinal.
-    std::vector<int64_t> keys;
-    std::vector<Record> records;
-  };
-
   // Reads block `block` through `file`, an open handle on this file
   // that no other thread uses meanwhile (ReadAt seeks it), and decodes
   // every record into *out. Dict-encoded slots surface as i64 codes.
   // With `borrow_strings`, str fields are views into out->body, valid
   // until *out is decoded into again. Adds the bytes read and
-  // materialized to *bytes_read / *bytes_decoded. Safe to call from
-  // several threads at once, each with its own file and *out.
+  // materialized to *bytes_read / *bytes_decoded. A block that fails
+  // a check (top of this file) is a Corruption and leaves *out half
+  // filled. Safe to call from several threads at once, each with its
+  // own file and *out.
   Status DecodeBlock(RandomAccessFile* file, uint64_t block,
                      bool borrow_strings, DecodedBlock* out,
                      uint64_t* bytes_read, uint64_t* bytes_decoded) const;
@@ -357,18 +364,10 @@ class SeqFileReader
   Status Init(const std::string& path);
 
   // Decodes one stored record from *in. With `borrow_strings`, str
-  // fields are views into *in's backing buffer (see RecordStream::
-  // set_borrow_strings for the lifetime contract).
+  // fields are views into *in's backing buffer.
   Status DecodeStored(std::string_view* in,
                       std::vector<int64_t>* delta_prev, Record* out,
-                      bool borrow_strings = false) const;
-
-  // Reads block `b` and materializes its raw (decompressed) body into
-  // *body. v2 bodies are codec-framed: an unregistered method byte or
-  // a raw-size mismatch is a Corruption, never silent garbage.
-  Status ReadBlockBody(RandomAccessFile* file, uint64_t block,
-                       std::string* body, uint64_t* bytes_read,
-                       uint64_t* bytes_decoded) const;
+                      bool borrow_strings) const;
 
   std::string path_;
   SeqFileMeta meta_;

@@ -150,7 +150,7 @@ RandomAccessFile::~RandomAccessFile() {
 Status RandomAccessFile::ReadAt(uint64_t offset, size_t n,
                                 std::string* out) const {
   MANIMAL_RETURN_IF_ERROR(MaybeFault(FaultOp::kRead, path_));
-  if (offset + n > size_) {
+  if (n > size_ || offset > size_ - n) {
     return Status::Corruption("ReadAt past EOF in " + path_);
   }
   if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0) {

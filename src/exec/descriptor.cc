@@ -52,6 +52,35 @@ Value RecordToValue(const columnar::SeqFileMeta& meta, Record record) {
   return Value::List(std::move(record));
 }
 
+// Cuts [0, blocks) into ranges of ceil(blocks / target_splits) blocks;
+// an empty input gets one empty range.
+std::vector<std::pair<uint64_t, uint64_t>> SplitBlocks(uint64_t blocks,
+                                                       int target_splits) {
+  std::vector<std::pair<uint64_t, uint64_t>> ranges;
+  const uint64_t chunk = std::max<uint64_t>(
+      1, (blocks + target_splits - 1) / std::max(1, target_splits));
+  for (uint64_t b = 0; b < blocks; b += chunk) {
+    ranges.emplace_back(b, std::min(blocks, b + chunk));
+  }
+  if (ranges.empty()) ranges.emplace_back(0, 0);
+  return ranges;
+}
+
+// Original field -> stored slot, from `slot_fields` (stored slot ->
+// original field) over a schema of `num_fields`; empty when the
+// layout is the identity.
+std::vector<int> FieldRemap(const std::vector<int>& slot_fields,
+                            int num_fields) {
+  bool identity = static_cast<int>(slot_fields.size()) == num_fields;
+  std::vector<int> remap(num_fields, -1);
+  for (size_t slot = 0; slot < slot_fields.size(); ++slot) {
+    remap[slot_fields[slot]] = static_cast<int>(slot);
+    if (slot_fields[slot] != static_cast<int>(slot)) identity = false;
+  }
+  if (identity) return {};
+  return remap;
+}
+
 // ---------------- SeqScan ----------------
 
 class SeqScanSplit : public InputSplit {
@@ -101,16 +130,8 @@ class SeqScanPlan : public InputPlan {
  public:
   SeqScanPlan(std::shared_ptr<columnar::SeqFileReader> reader,
               int target_splits)
-      : reader_(std::move(reader)) {
-    uint64_t blocks = reader_->num_blocks();
-    uint64_t chunk =
-        std::max<uint64_t>(1, (blocks + target_splits - 1) /
-                                  std::max(1, target_splits));
-    for (uint64_t b = 0; b < blocks; b += chunk) {
-      ranges_.emplace_back(b, std::min(blocks, b + chunk));
-    }
-    if (ranges_.empty()) ranges_.emplace_back(0, 0);
-  }
+      : reader_(std::move(reader)),
+        ranges_(SplitBlocks(reader_->num_blocks(), target_splits)) {}
 
   int num_splits() const override {
     return static_cast<int>(ranges_.size());
@@ -132,17 +153,7 @@ class SeqScanPlan : public InputPlan {
   std::vector<int> DerivedFieldRemap() const override {
     const columnar::SeqFileMeta& meta = reader_->meta();
     if (meta.original_schema.opaque()) return {};
-    const int n = meta.original_schema.num_fields();
-    bool identity = static_cast<int>(meta.field_map.size()) == n;
-    std::vector<int> remap(n, -1);
-    for (size_t slot = 0; slot < meta.field_map.size(); ++slot) {
-      remap[meta.field_map[slot]] = static_cast<int>(slot);
-      if (meta.field_map[slot] != static_cast<int>(slot)) {
-        identity = false;
-      }
-    }
-    if (identity) return {};
-    return remap;
+    return FieldRemap(meta.field_map, meta.original_schema.num_fields());
   }
 
   const columnar::SeqFileReader* seqfile() const override {
@@ -483,13 +494,7 @@ class ColumnGroupPlan : public InputPlan {
         columnar::ColumnGroupReader::Open(descriptor.data_path));
     plan->selection_ =
         plan->reader_->SelectGroups(descriptor.needed_fields);
-    uint64_t blocks = plan->reader_->num_blocks();
-    uint64_t chunk = std::max<uint64_t>(
-        1, (blocks + target_splits - 1) / std::max(1, target_splits));
-    for (uint64_t b = 0; b < blocks; b += chunk) {
-      plan->ranges_.emplace_back(b, std::min(blocks, b + chunk));
-    }
-    if (plan->ranges_.empty()) plan->ranges_.emplace_back(0, 0);
+    plan->ranges_ = SplitBlocks(plan->reader_->num_blocks(), target_splits);
     return plan;
   }
 
@@ -511,19 +516,8 @@ class ColumnGroupPlan : public InputPlan {
   }
 
   std::vector<int> DerivedFieldRemap() const override {
-    const Schema& schema = reader_->schema();
-    std::vector<int> remap(schema.num_fields(), -1);
-    bool identity = static_cast<int>(selection_.stored_fields.size()) ==
-                    schema.num_fields();
-    for (size_t slot = 0; slot < selection_.stored_fields.size();
-         ++slot) {
-      remap[selection_.stored_fields[slot]] = static_cast<int>(slot);
-      if (selection_.stored_fields[slot] != static_cast<int>(slot)) {
-        identity = false;
-      }
-    }
-    if (identity) return {};
-    return remap;
+    return FieldRemap(selection_.stored_fields,
+                      reader_->schema().num_fields());
   }
 
   std::shared_ptr<columnar::ColumnGroupReader> reader_;

@@ -809,13 +809,14 @@ Status JobRunner::Prepare() {
     predicate_matches_.assign(descriptor_.observe_intervals.size(), 0);
   }
 
-  // Direct evaluation on compressed blocks: prove from the skip
-  // frames which blocks cannot contain a matching row, and elide them
-  // from every scan split. Gated off while observation is armed —
-  // EXPLAIN ANALYZE's per-record observation must see every scanned
-  // record, and a skipped block's rows would silently vanish from the
-  // tally.
-  bool direct = cfg_.direct_eval;
+  // Direct evaluation on compressed blocks (paper §2.1): prove from
+  // the skip frames which blocks cannot contain a matching row, and
+  // elide them from every scan split. On unless MANIMAL_DIRECT_EVAL is
+  // 0|off|false (for A/B runs; output is identical either way). Gated
+  // off while observation is armed — EXPLAIN ANALYZE's per-record
+  // observation must see every scanned record, and a skipped block's
+  // rows would silently vanish from the tally.
+  bool direct = true;
   if (const char* env = std::getenv("MANIMAL_DIRECT_EVAL")) {
     std::string_view v(env);
     if (v == "0" || v == "off" || v == "false") direct = false;

@@ -101,16 +101,6 @@ struct JobConfig {
   // enabled by explain/analysis callers.
   bool collect_task_stats = false;
 
-  // ---- direct evaluation on compressed blocks ----
-  // When the input is a v2 seqfile with skip frames and the map's emit
-  // condition is a DNF of simple total comparisons, prove per block
-  // from the footer's [min, max] frames that no row can match, and
-  // elide such blocks from the scan without reading or decompressing
-  // them (paper §2.1 "operate directly on compressed data"). Output
-  // is provably identical; the MANIMAL_DIRECT_EVAL env var (0|off|
-  // false) disables it for A/B runs.
-  bool direct_eval = true;
-
   // ---- execution backend (docs/mril.md "Native kernels") ----
   // kAuto additionally honors the MANIMAL_BACKEND env var
   // (vm|native|auto); an explicit kVm / kNative here always wins over

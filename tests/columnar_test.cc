@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "columnar/dictionary.h"
 #include "columnar/seqfile.h"
+#include "common/coding.h"
 #include "common/random.h"
 #include "tests/test_util.h"
 
@@ -21,6 +24,34 @@ Schema NumSchema() {
 
 Record Row(const std::string& name, int64_t a, int64_t b) {
   return {Value::Str(name), Value::I64(a), Value::I64(b)};
+}
+
+// Overwrites the fixed-width integer at bytes[at].
+void SetFixed32(std::string* bytes, size_t at, uint32_t v) {
+  std::string enc;
+  PutFixed32(&enc, v);
+  bytes->replace(at, enc.size(), enc);
+}
+void SetFixed64(std::string* bytes, size_t at, uint64_t v) {
+  std::string enc;
+  PutFixed64(&enc, v);
+  bytes->replace(at, enc.size(), enc);
+}
+
+// Opens `path` and scans blocks [begin, end of file) to the end.
+// Returns the first error, and in *at_open whether Open returned it.
+Status OpenAndScan(const std::string& path, uint64_t begin,
+                   bool* at_open) {
+  *at_open = true;
+  MANIMAL_ASSIGN_OR_RETURN(auto reader, SeqFileReader::Open(path));
+  *at_open = false;
+  MANIMAL_ASSIGN_OR_RETURN(auto stream,
+                           reader->Scan(begin, reader->num_blocks()));
+  Record record;
+  for (;;) {
+    MANIMAL_ASSIGN_OR_RETURN(bool more, stream.Next(&record));
+    if (!more) return Status::OK();
+  }
 }
 
 // ---------------- dictionary ----------------
@@ -369,6 +400,108 @@ TEST(SeqFileTest, BlockCountDisagreeingWithFooterIsCorruption) {
   Status loaded = accessor.Load(0);
   EXPECT_TRUE(loaded.IsCorruption()) << loaded.ToString();
   EXPECT_OK(accessor.Load(1));
+
+  // Job scans decode through the same checks.
+  bool at_open = false;
+  Status scanned = OpenAndScan(path, 0, &at_open);
+  EXPECT_TRUE(scanned.IsCorruption()) << scanned.ToString();
+  EXPECT_FALSE(at_open);
+  // A scan that starts past the bad block reads blocks 1 onward whole,
+  // keyed by their global ordinals.
+  ASSERT_OK_AND_ASSIGN(auto stream, reader->Scan(1, reader->num_blocks()));
+  int64_t want = static_cast<int64_t>(reader->BlockRecordCount(0));
+  int64_t key = 0;
+  Record record;
+  for (;;) {
+    ASSERT_OK_AND_ASSIGN(bool more, stream.Next(&key, &record));
+    if (!more) break;
+    EXPECT_EQ(key, want);
+    EXPECT_EQ(record[1].i64(), want);
+    ++want;
+  }
+  EXPECT_EQ(want, 100);
+
+  // A block body with one byte after its last record: a one-block
+  // file with its body's length prefix and the footer offset bumped.
+  const std::string one = dir.file("one.msq");
+  {
+    ASSERT_OK_AND_ASSIGN(auto writer,
+                         SeqFileWriter::Create(one, PlainMeta(NumSchema())));
+    for (int i = 0; i < 3; ++i) ASSERT_OK(writer->Append(Row("r", i, 0)));
+    ASSERT_OK(writer->Finish().status());
+  }
+  ASSERT_OK_AND_ASSIGN(std::string one_bytes, ReadFileToString(one));
+  const size_t tail = one_bytes.size() - 28;
+  const uint64_t footer = DecodeFixed64(&one_bytes[tail + 16]);
+  const uint64_t block = DecodeFixed64(&one_bytes[footer]);
+  SetFixed32(&one_bytes, block, DecodeFixed32(&one_bytes[block]) + 1);
+  SetFixed64(&one_bytes, tail + 16, footer + 1);
+  one_bytes.insert(footer, 1, '\0');
+  ASSERT_OK(WriteStringToFile(one, one_bytes));
+  ASSERT_OK_AND_ASSIGN(auto one_reader, SeqFileReader::Open(one));
+  ASSERT_EQ(one_reader->num_blocks(), 1u);
+  ASSERT_OK_AND_ASSIGN(auto one_accessor, one_reader->OpenBlockAccessor());
+  loaded = one_accessor.Load(0);
+  EXPECT_TRUE(loaded.IsCorruption()) << loaded.ToString();
+  scanned = OpenAndScan(one, 0, &at_open);
+  EXPECT_TRUE(scanned.IsCorruption()) << scanned.ToString();
+}
+
+// A footer the file cannot back: Open rejects what the footer alone
+// shows, and a total the blocks do not hold fails the scan.
+TEST(SeqFileTest, InconsistentFooterIsCorruption) {
+  TempDir dir("seq-footer");
+  const std::string path = dir.file("t.msq");
+  {
+    SeqFileWriter::Options opts;
+    opts.target_block_bytes = 512;
+    ASSERT_OK_AND_ASSIGN(
+        auto writer,
+        SeqFileWriter::Create(path, PlainMeta(NumSchema()), opts));
+    for (int i = 0; i < 100; ++i) ASSERT_OK(writer->Append(Row("r", i, 0)));
+    ASSERT_OK(writer->Finish().status());
+  }
+  ASSERT_OK_AND_ASSIGN(const std::string bytes, ReadFileToString(path));
+  // Tail: fixed64 block count, total, footer offset; fixed32 magic.
+  const size_t tail = bytes.size() - 28;
+  const uint64_t nblocks = DecodeFixed64(&bytes[tail]);
+  const uint64_t offsets = DecodeFixed64(&bytes[tail + 16]);
+  const uint64_t cums = offsets + 8 * nblocks;
+  ASSERT_GT(nblocks, 2u);
+  auto add = [](size_t at, uint64_t delta) {
+    return [=](std::string* b) {
+      SetFixed64(b, at, DecodeFixed64(&(*b)[at]) + delta);
+    };
+  };
+  auto swap = [](size_t x, size_t y) {
+    return [=](std::string* b) {
+      std::swap_ranges(b->begin() + x, b->begin() + x + 8, b->begin() + y);
+    };
+  };
+  struct Case {
+    const char* name;
+    std::function<void(std::string*)> alter;
+    uint64_t scan_from;
+    bool at_open;
+  };
+  const Case cases[] = {
+      {"block count wraps the footer size", add(tail, 1ull << 60), 0, true},
+      {"block offsets 1 and 2 swapped", swap(offsets + 8, offsets + 16), 1,
+       true},
+      {"cumulative counts 1 and 2 swapped", swap(cums + 8, cums + 16), 0,
+       true},
+      {"total larger than the blocks hold", add(tail + 8, 1), 0, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string altered = bytes;
+    c.alter(&altered);
+    ASSERT_OK(WriteStringToFile(path, altered));
+    bool at_open = false;
+    Status status = OpenAndScan(path, c.scan_from, &at_open);
+    EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+    EXPECT_EQ(at_open, c.at_open);
+  }
 }
 
 TEST(SeqFileTest, CorruptFileRejected) {

@@ -12,8 +12,10 @@
 #include "analyzer/analyzer.h"
 #include "analyzer/expr_eval.h"
 #include "columnar/seqfile.h"
+#include "common/coding.h"
 #include "common/faulty_env.h"
 #include "common/strings.h"
+#include "core/manimal.h"
 #include "exec/engine.h"
 #include "exec/index_build.h"
 #include "exec/pairfile.h"
@@ -771,6 +773,54 @@ TEST_F(EngineFaultTest, FailedJobRemovesPartialOutput) {
   EXPECT_FALSE(FileExists(config.output_path + ".inprogress"));
 }
 
+// ---------------- corrupt input ----------------
+
+// A WebPages input whose block 0 holds one record fewer than the
+// footer counts: the conventional run and the plain-scan Submit both
+// fail as Corruption and publish no output, instead of answering over
+// the rows that remain.
+TEST(CorruptInputTest, ShortBlockFailsBaselineAndPlainScanSubmit) {
+  TempDir dir("corrupt-input");
+  const std::string input = dir.file("pages.msq");
+  workloads::WebPagesOptions gen;
+  gen.num_pages = 2000;
+  gen.content_len = 64;
+  ASSERT_OK(workloads::GenerateWebPages(input, gen).status());
+  ASSERT_OK_AND_ASSIGN(std::string bytes, ReadFileToString(input));
+  // The tail's third field is the footer offset, whose first entry is
+  // block 0's offset; the block opens with a fixed32 length and the
+  // varint record count, whose low 7 bits lead.
+  const uint64_t footer = DecodeFixed64(&bytes[bytes.size() - 12]);
+  const size_t count_at = DecodeFixed64(&bytes[footer]) + 4;
+  ASSERT_NE(bytes[count_at] & 0x7f, 0);
+  --bytes[count_at];
+  ASSERT_OK(WriteStringToFile(input, bytes));
+
+  core::ManimalSystem::Options options;
+  options.workspace_dir = dir.file("ws");
+  options.map_parallelism = 3;
+  options.simulated_startup_seconds = 0;
+  options.simulated_disk_bytes_per_sec = 0;
+  ASSERT_OK_AND_ASSIGN(auto system, core::ManimalSystem::Open(options));
+  ASSERT_TRUE(system->catalog().entries().empty());  // no index: plain scan
+  core::ManimalSystem::Submission job;
+  job.program = workloads::SelectionCountQuery(20);
+  job.input_path = input;
+
+  job.output_path = dir.file("baseline.prs");
+  Result<JobResult> baseline = system->RunBaseline(job);
+  EXPECT_FALSE(baseline.ok()) << baseline->counters.input_records;
+  EXPECT_TRUE(baseline.status().IsCorruption())
+      << baseline.status().ToString();
+  EXPECT_FALSE(FileExists(job.output_path));
+
+  job.output_path = dir.file("submit.prs");
+  auto submitted = system->Submit(job);
+  EXPECT_FALSE(submitted.ok()) << submitted->job.counters.input_records;
+  EXPECT_TRUE(submitted.status().IsCorruption())
+      << submitted.status().ToString();
+  EXPECT_FALSE(FileExists(job.output_path));
+}
 
 // ---------------- parallel index builds ----------------
 

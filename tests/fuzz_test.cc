@@ -9,6 +9,7 @@
 
 #include "analyzer/analyzer.h"
 #include "columnar/seqfile.h"
+#include "common/coding.h"
 #include "common/random.h"
 #include "index/btree.h"
 #include "mril/assembler.h"
@@ -115,8 +116,10 @@ TEST_P(CorruptionFuzz, TruncatedAndFlippedSeqFilesRejectCleanly) {
   Schema schema({{"a", FieldType::kStr}, {"b", FieldType::kI64}});
   std::string path = dir.file("t.msq");
   {
+    columnar::SeqFileWriter::Options options;
+    options.target_block_bytes = 256;
     auto writer = std::move(columnar::SeqFileWriter::Create(
-                                path, columnar::PlainMeta(schema)))
+                                path, columnar::PlainMeta(schema), options))
                       .value();
     for (int i = 0; i < 200; ++i) {
       ASSERT_OK(writer->Append(
@@ -125,6 +128,13 @@ TEST_P(CorruptionFuzz, TruncatedAndFlippedSeqFilesRejectCleanly) {
     ASSERT_OK(writer->Finish().status());
   }
   ASSERT_OK_AND_ASSIGN(std::string bytes, ReadFileToString(path));
+  {
+    ASSERT_OK_AND_ASSIGN(auto reader, columnar::SeqFileReader::Open(path));
+    ASSERT_GE(reader->num_blocks(), 8u);
+  }
+  // The footer: block offsets, cumulative counts and the 28-byte tail,
+  // whose third field is the footer's offset.
+  const size_t footer = DecodeFixed64(&bytes[bytes.size() - 12]);
   Rng rng(GetParam() + 7);
 
   for (int trial = 0; trial < 40; ++trial) {
@@ -133,9 +143,11 @@ TEST_P(CorruptionFuzz, TruncatedAndFlippedSeqFilesRejectCleanly) {
       // Truncate somewhere.
       mutated.resize(rng.Uniform(mutated.size()));
     } else {
-      // Flip a few bytes.
+      // Flip a few bytes, half of them in the footer.
       for (int k = 0; k < 4; ++k) {
-        size_t pos = rng.Uniform(mutated.size());
+        size_t pos = rng.OneIn(2)
+                         ? footer + rng.Uniform(mutated.size() - footer)
+                         : rng.Uniform(mutated.size());
         mutated[pos] = static_cast<char>(rng.Uniform(256));
       }
     }
@@ -143,12 +155,28 @@ TEST_P(CorruptionFuzz, TruncatedAndFlippedSeqFilesRejectCleanly) {
     ASSERT_OK(WriteStringToFile(mpath, mutated));
     auto reader = columnar::SeqFileReader::Open(mpath);
     if (!reader.ok()) continue;  // rejected at open: fine
-    auto stream = (*reader)->ScanAll();
-    if (!stream.ok()) continue;
-    Record record;
-    for (;;) {
-      auto more = stream->Next(&record);
-      if (!more.ok() || !*more) break;  // error or end: both fine
+    // Every suffix of the blocks: an error is fine, but a scan that
+    // ends OK returned exactly the records the footer promises.
+    const uint64_t blocks = (*reader)->num_blocks();
+    for (uint64_t begin = 0; begin <= blocks; ++begin) {
+      auto stream = (*reader)->Scan(begin, blocks);
+      if (!stream.ok()) continue;
+      uint64_t promised = 0;
+      for (uint64_t b = begin; b < blocks; ++b) {
+        promised += (*reader)->BlockRecordCount(b);
+      }
+      uint64_t got = 0;
+      Record record;
+      for (;;) {
+        auto more = stream->Next(&record);
+        if (!more.ok()) break;
+        if (!*more) {
+          EXPECT_EQ(got, promised) << "trial " << trial << " from block "
+                                   << begin;
+          break;
+        }
+        ++got;
+      }
     }
   }
 }
