@@ -37,26 +37,31 @@ bool Expr::Equals(const Expr& other) const {
   return true;
 }
 
-std::string Expr::ToString() const {
+std::string Expr::ToString(
+    std::span<const std::string_view> param_names) const {
+  auto sub = [param_names](const ExprRef& e) {
+    return e->ToString(param_names);
+  };
   switch (kind) {
     case Kind::kConst:
       return constant.ToString();
     case Kind::kParam:
+      if (index >= 0 && static_cast<size_t>(index) < param_names.size()) {
+        return std::string(param_names[index]);
+      }
       return StrPrintf("param%d", index);
     case Kind::kField:
       return args.empty()
                  ? StrPrintf("?.field[%d]", index)
-                 : StrPrintf("%s.field[%d]", args[0]->ToString().c_str(),
-                             index);
+                 : StrPrintf("%s.field[%d]", sub(args[0]).c_str(), index);
     case Kind::kMember:
       return StrPrintf("member%d", index);
     case Kind::kOp: {
       std::string m(mril::GetOpcodeInfo(op).mnemonic);
       if (args.size() == 2) {
-        return "(" + args[0]->ToString() + " " + m + " " +
-               args[1]->ToString() + ")";
+        return "(" + sub(args[0]) + " " + m + " " + sub(args[1]) + ")";
       }
-      if (args.size() == 1) return "(" + m + " " + args[0]->ToString() + ")";
+      if (args.size() == 1) return "(" + m + " " + sub(args[0]) + ")";
       return m;
     }
     case Kind::kCall: {
@@ -64,7 +69,7 @@ std::string Expr::ToString() const {
       out += "(";
       for (size_t i = 0; i < args.size(); ++i) {
         if (i) out += ", ";
-        out += args[i]->ToString();
+        out += sub(args[i]);
       }
       out += ")";
       return out;

@@ -11,7 +11,9 @@
 #define MANIMAL_ANALYSIS_EXPR_H_
 
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mril/builtins.h"
@@ -49,8 +51,10 @@ struct Expr {
   // Structural equality (ignores origin_pc).
   bool Equals(const Expr& other) const;
 
-  // Readable form, e.g. "(v.field[1] > i64:1)".
-  std::string ToString() const;
+  // Readable form, e.g. "(v.field[1] > i64:1)". `param_names[i]`,
+  // when given, renders parameter i instead of "param<i>".
+  std::string ToString(
+      std::span<const std::string_view> param_names = {}) const;
 
   // ---- factories ----
   static ExprRef MakeConst(Value v, int pc);

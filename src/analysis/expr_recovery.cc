@@ -98,108 +98,83 @@ ExprRef ExprRecovery::LogOperand(int log_pc) {
 std::vector<ExprRef> ExprRecovery::StackBefore(int pc) {
   const BasicBlock& bb = cfg_.block(cfg_.BlockOf(pc));
   std::vector<ExprRef> stack;  // block entry: empty (verified)
+  // Terminators end a block, so p < pc never steps over one.
   for (int p = bb.first_pc; p < pc; ++p) {
-    const Instruction& inst = fn_.code[p];
-    auto pop = [&stack, p]() -> ExprRef {
-      if (stack.empty()) return Expr::MakeUnknown(p);
-      ExprRef e = stack.back();
-      stack.pop_back();
-      return e;
-    };
-    switch (inst.op) {
-      case Opcode::kNop:
-        break;
-      case Opcode::kLoadConst:
-        stack.push_back(
-            Expr::MakeConst(program_.constants.at(inst.operand), p));
-        break;
-      case Opcode::kLoadParam:
-        stack.push_back(Expr::MakeParam(inst.operand, p));
-        break;
-      case Opcode::kLoadLocal:
-        stack.push_back(
-            ResolveLoad(p, VarRef{VarRef::Kind::kLocal, inst.operand}));
-        break;
-      case Opcode::kLoadMember:
-        stack.push_back(
-            ResolveLoad(p, VarRef{VarRef::Kind::kMember, inst.operand}));
-        break;
-      case Opcode::kStoreLocal:
-      case Opcode::kStoreMember:
-        pop();
-        break;
-      case Opcode::kGetField: {
-        ExprRef base = pop();
-        stack.push_back(Expr::MakeField(std::move(base), inst.operand, p));
-        break;
-      }
-      case Opcode::kDup: {
-        ExprRef top = pop();
-        stack.push_back(top);
-        stack.push_back(top);
-        break;
-      }
-      case Opcode::kPop:
-        pop();
-        break;
-      case Opcode::kSwap: {
-        ExprRef b = pop();
-        ExprRef a = pop();
-        stack.push_back(std::move(b));
-        stack.push_back(std::move(a));
-        break;
-      }
-      case Opcode::kNeg:
-      case Opcode::kNot: {
-        ExprRef a = pop();
-        stack.push_back(Expr::MakeOp(inst.op, {std::move(a)}, p));
-        break;
-      }
-      case Opcode::kAdd:
-      case Opcode::kSub:
-      case Opcode::kMul:
-      case Opcode::kDiv:
-      case Opcode::kMod:
-      case Opcode::kCmpLt:
-      case Opcode::kCmpLe:
-      case Opcode::kCmpGt:
-      case Opcode::kCmpGe:
-      case Opcode::kCmpEq:
-      case Opcode::kCmpNe:
-      case Opcode::kAnd:
-      case Opcode::kOr: {
-        ExprRef b = pop();
-        ExprRef a = pop();
-        stack.push_back(
-            Expr::MakeOp(inst.op, {std::move(a), std::move(b)}, p));
-        break;
-      }
-      case Opcode::kCall: {
-        const Builtin* builtin =
-            BuiltinRegistry::Get().FindById(inst.operand);
-        MANIMAL_CHECK(builtin != nullptr);
-        std::vector<ExprRef> args(builtin->arity);
-        for (int i = builtin->arity - 1; i >= 0; --i) args[i] = pop();
-        stack.push_back(Expr::MakeCall(builtin, std::move(args), p));
-        break;
-      }
-      case Opcode::kEmit:
-        pop();
-        pop();
-        break;
-      case Opcode::kLog:
-        pop();
-        break;
-      case Opcode::kJmp:
-      case Opcode::kJmpIfTrue:
-      case Opcode::kJmpIfFalse:
-      case Opcode::kReturn:
-        // Terminators are the last instruction of a block; p < pc means
-        // we should never step over one.
-        MANIMAL_UNREACHABLE();
-    }
+    SymbolicStep(program_, fn_.code[p], p,
+                 [this, p](VarRef var) { return ResolveLoad(p, var); },
+                 &stack);
   }
   return stack;
+}
+
+std::vector<ExprRef> SymbolicStep(
+    const Program& program, const Instruction& inst, int pc,
+    const std::function<ExprRef(VarRef)>& load,
+    std::vector<ExprRef>* stack) {
+  const Builtin* builtin = nullptr;
+  int pops = mril::GetOpcodeInfo(inst.op).pops;
+  if (inst.op == Opcode::kCall) {
+    builtin = BuiltinRegistry::Get().FindById(inst.operand);
+    MANIMAL_CHECK(builtin != nullptr);
+    pops = builtin->arity;
+  }
+  std::vector<ExprRef> args(pops);
+  for (int i = pops - 1; i >= 0; --i) {
+    if (stack->empty()) {
+      args[i] = Expr::MakeUnknown(pc);
+    } else {
+      args[i] = std::move(stack->back());
+      stack->pop_back();
+    }
+  }
+  switch (inst.op) {
+    case Opcode::kLoadConst:
+      stack->push_back(
+          Expr::MakeConst(program.constants.at(inst.operand), pc));
+      return {};
+    case Opcode::kLoadParam:
+      stack->push_back(Expr::MakeParam(inst.operand, pc));
+      return {};
+    case Opcode::kLoadLocal:
+      stack->push_back(load(VarRef{VarRef::Kind::kLocal, inst.operand}));
+      return {};
+    case Opcode::kLoadMember:
+      stack->push_back(load(VarRef{VarRef::Kind::kMember, inst.operand}));
+      return {};
+    case Opcode::kGetField:
+      stack->push_back(Expr::MakeField(std::move(args[0]), inst.operand, pc));
+      return {};
+    case Opcode::kDup:
+      stack->push_back(args[0]);
+      stack->push_back(std::move(args[0]));
+      return {};
+    case Opcode::kSwap:
+      stack->push_back(std::move(args[1]));
+      stack->push_back(std::move(args[0]));
+      return {};
+    case Opcode::kAdd:
+    case Opcode::kSub:
+    case Opcode::kMul:
+    case Opcode::kDiv:
+    case Opcode::kMod:
+    case Opcode::kNeg:
+    case Opcode::kCmpLt:
+    case Opcode::kCmpLe:
+    case Opcode::kCmpGt:
+    case Opcode::kCmpGe:
+    case Opcode::kCmpEq:
+    case Opcode::kCmpNe:
+    case Opcode::kAnd:
+    case Opcode::kOr:
+    case Opcode::kNot:
+      stack->push_back(Expr::MakeOp(inst.op, std::move(args), pc));
+      return {};
+    case Opcode::kCall:
+      stack->push_back(Expr::MakeCall(builtin, std::move(args), pc));
+      return {};
+    default:  // stores, pop, emit, log, branches, return, nop
+      return args;
+  }
 }
 
 }  // namespace manimal::analysis

@@ -13,9 +13,11 @@
 #ifndef MANIMAL_ANALYSIS_EXPR_RECOVERY_H_
 #define MANIMAL_ANALYSIS_EXPR_RECOVERY_H_
 
+#include <functional>
 #include <map>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "analysis/cfg.h"
 #include "analysis/expr.h"
@@ -56,6 +58,17 @@ class ExprRecovery {
   std::map<int, ExprRef> stored_memo_;  // def pc -> expr
   std::set<int> in_progress_;           // cycle guard
 };
+
+// Applies the instruction at `pc` to a symbolic operand stack: an
+// instruction that produces a value pushes its expression, reading
+// locals and members through `load`; the operands any other
+// instruction consumes (a store's value, emit's key and value, a
+// branch condition, a popped or logged value) are returned in push
+// order. Popping an empty stack yields Unknown.
+std::vector<ExprRef> SymbolicStep(
+    const Program& program, const mril::Instruction& inst, int pc,
+    const std::function<ExprRef(VarRef)>& load,
+    std::vector<ExprRef>* stack);
 
 }  // namespace manimal::analysis
 

@@ -1,6 +1,7 @@
 #include "codegen/kernel.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <memory>
 #include <utility>
@@ -20,11 +21,16 @@ namespace {
 // Everything a node may touch while evaluating one record. `fields`
 // is null when the record is not a list (possible only for shapes
 // that never dereference it — the arity gate bails first otherwise).
+// A reduce fold evaluates over one group: `record` is its values
+// list, and `elem` / `acc` are the current element and the
+// accumulator (null where the fold has none).
 struct EvalCtx {
   const Value* key;
   const Value* record;
   const ValueList* fields;
   ValueArena* arena;
+  const Value* elem = nullptr;
+  const Value* acc = nullptr;
 };
 
 // One evaluator. Eval() returns false to bail out: the caller replays
@@ -66,6 +72,22 @@ class RecordNode final : public Node {
  public:
   bool Eval(EvalCtx& ctx, Value* out) const override {
     *out = *ctx.record;
+    return true;
+  }
+};
+
+class ElemNode final : public Node {
+ public:
+  bool Eval(EvalCtx& ctx, Value* out) const override {
+    *out = *ctx.elem;
+    return true;
+  }
+};
+
+class AccNode final : public Node {
+ public:
+  bool Eval(EvalCtx& ctx, Value* out) const override {
+    *out = *ctx.acc;
     return true;
   }
 };
@@ -239,10 +261,13 @@ bool IsNumericKind(std::optional<ValueKind> k) {
   return k == ValueKind::kI64 || k == ValueKind::kF64;
 }
 
+// Builds nodes for map() expressions, or with `reduce` set for the
+// expressions of a reduce fold (codegen/shape.h FoldShape).
 class Compiler {
  public:
-  Compiler(const mril::Program& program, const CompileOptions& options)
-      : program_(program), options_(options) {}
+  Compiler(const mril::Program& program, const CompileOptions& options,
+           bool reduce = false)
+      : program_(program), options_(options), reduce_(reduce) {}
 
   Result<const Node*> Build(const ExprRef& expr) {
     if (expr == nullptr) {
@@ -255,20 +280,25 @@ class Compiler {
         node->kind = expr->constant.kind();
         return Own(std::move(node));
       }
-      case Expr::Kind::kParam:
+      case Expr::Kind::kParam: {
+        std::unique_ptr<Node> node;
         if (expr->index == mril::kMapKeyParam) {
-          auto node = std::make_unique<KeyNode>();
-          node->total = true;
-          node->kind = FieldValueKind(program_.key_type);
-          return Own(std::move(node));
-        }
-        if (expr->index == mril::kMapValueParam) {
-          auto node = std::make_unique<RecordNode>();
-          node->total = true;
+          node = std::make_unique<KeyNode>();
+          // A reduce key is whatever map() emitted.
+          if (!reduce_) node->kind = FieldValueKind(program_.key_type);
+        } else if (expr->index == mril::kMapValueParam) {
+          node = std::make_unique<RecordNode>();
           node->kind = ValueKind::kList;
-          return Own(std::move(node));
+        } else if (reduce_ && expr->index == kFoldElemParam) {
+          node = std::make_unique<ElemNode>();
+        } else if (reduce_ && expr->index == kFoldAccParam) {
+          node = std::make_unique<AccNode>();
+        } else {
+          return Status::NotSupported("unexpected parameter index");
         }
-        return Status::NotSupported("unexpected parameter index");
+        node->total = true;
+        return Own(std::move(node));
+      }
       case Expr::Kind::kField:
         return BuildField(expr);
       case Expr::Kind::kOp:
@@ -350,8 +380,8 @@ class Compiler {
 
   Result<const Node*> BuildField(const ExprRef& expr) {
     const ExprRef& base = expr->args.at(0);
-    if (!(base->kind == Expr::Kind::kParam &&
-          base->index == mril::kMapValueParam)) {
+    if (reduce_ || !(base->kind == Expr::Kind::kParam &&
+                     base->index == mril::kMapValueParam)) {
       MANIMAL_ASSIGN_OR_RETURN(const Node* base_node, Build(base));
       auto node =
           std::make_unique<GenericFieldNode>(base_node, expr->index);
@@ -519,6 +549,7 @@ class Compiler {
 
   const mril::Program& program_;
   const CompileOptions& options_;
+  const bool reduce_;
   std::vector<std::unique_ptr<Node>> nodes_;
   int min_arity_ = 0;
   bool has_calls_ = false;
@@ -614,6 +645,60 @@ class ClosureKernel final : public NativeKernel {
   std::string describe_;
 };
 
+// A reduce fold over one group: acc = init, then acc = op(acc,
+// g(elem)) per value in the group's order through mril::ApplyOp, then
+// the emit. Any failure bails before anything is emitted, and so does
+// a group long enough that the VM could run out of steps.
+class FoldKernel final : public NativeKernel {
+ public:
+  KernelOutcome Run(const Value& key, const Value& values,
+                    KernelScratch* scratch, Value* out_key,
+                    Value* out_value) const override {
+    if (!values.is_list()) return KernelOutcome::kBailout;
+    const ValueList& list = values.list();
+    if (max_values_ < 0 ||
+        list.size() > static_cast<uint64_t>(max_values_)) {
+      return KernelOutcome::kBailout;
+    }
+    // Once per group, as the VM does once per invocation: the arena
+    // and the group's borrowed buffers are recycled between groups.
+    if (has_calls_) mril::InvalidateBorrowedStringMemos();
+    scratch->arena.Reset();
+    EvalCtx ctx{&key, &values, nullptr, &scratch->arena};
+    Value acc = init_;
+    if (g_ != nullptr) {
+      Value args[2];
+      for (const Value& elem : list) {
+        ctx.elem = &elem;
+        if (!g_->Eval(ctx, &args[1])) return KernelOutcome::kBailout;
+        args[0] = std::move(acc);
+        if (!mril::ApplyOp(op_, args, &acc, ctx.arena).ok()) {
+          return KernelOutcome::kBailout;
+        }
+      }
+    }
+    ctx.acc = &acc;
+    if (!key_node_->Eval(ctx, out_key) ||
+        !value_node_->Eval(ctx, out_value)) {
+      return KernelOutcome::kBailout;
+    }
+    return KernelOutcome::kEmit;
+  }
+
+  std::string Describe() const override { return describe_; }
+
+  // Filled in by CompileReduceKernel.
+  std::vector<std::unique_ptr<Node>> nodes_;
+  Value init_;
+  Opcode op_ = Opcode::kNop;
+  const Node* g_ = nullptr;  // null for a loop-free reduce
+  const Node* key_node_ = nullptr;
+  const Node* value_node_ = nullptr;
+  int64_t max_values_ = -1;  // -1: the VM runs out of steps on any group
+  bool has_calls_ = false;
+  std::string describe_;
+};
+
 // Static fallback when the optimizer supplied no statistics: point
 // predicates filter hardest, then ranges, then substring probes.
 double HeuristicSelectivity(const ExprRef& expr) {
@@ -692,6 +777,35 @@ Result<std::shared_ptr<const NativeKernel>> CompileKernel(
       "record arity >= %d",
       shape.Describe().c_str(), total_terms, kernel->prepass_.size(),
       kernel->min_arity_);
+  return std::shared_ptr<const NativeKernel>(std::move(kernel));
+}
+
+Result<std::shared_ptr<const NativeKernel>> CompileReduceKernel(
+    const mril::Program& program, const mril::VmOptions& replay_vm) {
+  MANIMAL_ASSIGN_OR_RETURN(const FoldShape shape,
+                           ExtractFoldShape(program));
+  const CompileOptions no_remap;
+  Compiler compiler(program, no_remap, /*reduce=*/true);
+  auto kernel = std::make_shared<FoldKernel>();
+  kernel->init_ = shape.init;
+  kernel->op_ = shape.op;
+  if (shape.g != nullptr) {
+    MANIMAL_ASSIGN_OR_RETURN(kernel->g_, compiler.Build(shape.g));
+  }
+  MANIMAL_ASSIGN_OR_RETURN(kernel->key_node_,
+                           compiler.Build(shape.key_expr));
+  MANIMAL_ASSIGN_OR_RETURN(kernel->value_node_,
+                           compiler.Build(shape.value_expr));
+  const int64_t budget =
+      replay_vm.max_steps_per_invocation - shape.fixed_steps;
+  if (budget >= 0) {
+    kernel->max_values_ = shape.steps_per_value == 0
+                              ? std::numeric_limits<int64_t>::max()
+                              : budget / shape.steps_per_value;
+  }
+  kernel->has_calls_ = compiler.has_calls();
+  kernel->nodes_ = compiler.TakeNodes();
+  kernel->describe_ = "closure " + shape.Describe();
   return std::shared_ptr<const NativeKernel>(std::move(kernel));
 }
 

@@ -1,6 +1,7 @@
 // The native execution tier: compiles an admitted relational shape
 // (codegen/shape.h) into a specialized evaluator that replaces the VM
-// on the map hot path.
+// on the map hot path, and an admitted reduce fold into one that
+// replaces it on the reduce side.
 //
 // The kernel is a closure tree: small evaluator nodes built at
 // job-prepare time, with template-instantiated typed fast paths for
@@ -8,12 +9,13 @@
 // constant) and conjunct short-circuiting in selectivity order.
 // NativeKernel hides that tree from callers.
 //
-// Exactness contract: for every record, Run() either reproduces the
-// VM's observable behavior (emit the identical pair, or emit nothing)
-// or returns kBailout, in which case the caller MUST replay the record
-// through the VM (which also reproduces any error the VM would have
-// raised). Bailing out is always safe; the compiler only proves that
-// non-bailout outcomes are exact.
+// Exactness contract: for every record (or group), Run() either
+// reproduces the VM's observable behavior (emit the identical pair, or
+// emit nothing) or returns kBailout, in which case the caller MUST
+// replay the record (the whole group) through the VM, which also
+// reproduces any error the VM would have raised. Bailing out is
+// always safe; the compiler only proves that non-bailout outcomes are
+// exact.
 //
 // Evaluation discipline (why reordering is safe): a node is "total"
 // when its evaluation provably cannot fault for schema-conformant
@@ -33,6 +35,7 @@
 
 #include "codegen/shape.h"
 #include "common/status.h"
+#include "mril/vm.h"
 #include "serde/value.h"
 
 namespace manimal::codegen {
@@ -54,10 +57,12 @@ class NativeKernel {
  public:
   virtual ~NativeKernel() = default;
 
-  // Evaluates one map input. Emitted values may borrow from `record`
-  // or from scratch->arena — valid until the next Run() with the same
-  // scratch or the record buffer's invalidation, whichever is first
-  // (the same lifetime contract as InputSplit::Next()).
+  // Evaluates one map input, or for a reduce kernel one group (then
+  // `record` is the group's values list and the outcome is never
+  // kSkip). Emitted values may borrow from `record` or from
+  // scratch->arena — valid until the next Run() with the same scratch
+  // or the record buffer's invalidation, whichever is first (the same
+  // lifetime contract as InputSplit::Next()).
   virtual KernelOutcome Run(const Value& key, const Value& record,
                             KernelScratch* scratch, Value* out_key,
                             Value* out_value) const = 0;
@@ -83,6 +88,14 @@ struct CompileOptions {
 // gate (codegen/shape.h) rejects.
 Result<std::shared_ptr<const NativeKernel>> CompileKernel(
     const mril::Program& program, const CompileOptions& options);
+
+// Extracts the reduce's fold shape (codegen/shape.h) and compiles it.
+// `replay_vm` is the options of the VM that replays bailed groups: the
+// kernel bails on every group that VM could not finish within
+// max_steps_per_invocation. Returns StatusCode::kNotSupported (with a
+// reason) for reduces ExtractFoldShape refuses.
+Result<std::shared_ptr<const NativeKernel>> CompileReduceKernel(
+    const mril::Program& program, const mril::VmOptions& replay_vm);
 
 }  // namespace manimal::codegen
 

@@ -27,6 +27,7 @@
 #include "analyzer/descriptor.h"
 #include "common/status.h"
 #include "mril/program.h"
+#include "serde/value.h"
 
 namespace manimal::codegen {
 
@@ -59,6 +60,45 @@ struct RelationalShape {
 // native-eligibility detail); any other code indicates an internal
 // inconsistency.
 Result<RelationalShape> ExtractShape(const mril::Program& program);
+
+// ---- reduce folds (docs/mril.md "Reduce folds") ----
+//
+// Fold expressions read the reduce parameters (mril::kReduceKeyParam,
+// and mril::kReduceValuesParam only as list.len(values)) plus two
+// more parameter leaves: the accumulator and the current element.
+inline constexpr int kFoldAccParam = 2;
+inline constexpr int kFoldElemParam = 3;
+
+// The exact semantics of one admitted reduce():
+//   acc = init
+//   for each elem of values, in order: acc = op(acc, g(elem))
+//   emit(key_expr, value_expr)
+// A loop-free reduce (e.g. emit(key, list.len(values))) has no g and
+// its emit never reads acc.
+struct FoldShape {
+  Value init;
+  mril::Opcode op = mril::Opcode::kNop;
+  analysis::ExprRef g;  // null for a loop-free reduce
+  analysis::ExprRef key_expr;
+  analysis::ExprRef value_expr;
+  // An upper bound on the VM steps reduce() takes over a group of n
+  // values: fixed_steps + n * steps_per_value (one per unlinked
+  // instruction; linking only fuses or drops instructions).
+  int64_t fixed_steps = 0;
+  int64_t steps_per_value = 0;
+
+  std::string Describe() const;
+};
+
+// Decides reduce admission: a constant init, at most one counted loop
+// `for i in [0, list.len(values))` whose body is one basic block
+// updating one accumulator `acc = op(acc, g(list.get(values, i)))`
+// with an ApplyOp operator and a pure g, and one emit after the loop
+// of pure expressions over key, acc and list.len(values). Anything
+// else (a log, a member access, a key test or other early exit, an
+// emit inside the loop, a second accumulator, a nested loop) is
+// StatusCode::kNotSupported with a readable reason.
+Result<FoldShape> ExtractFoldShape(const mril::Program& program);
 
 }  // namespace manimal::codegen
 

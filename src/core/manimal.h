@@ -67,10 +67,10 @@ class ManimalSystem {
     std::string explain_path;
 
     // ---- native codegen tier (docs/mril.md "Native kernels") ----
-    // Map-side backend for optimized submissions. kAuto additionally
-    // honors MANIMAL_BACKEND=vm|native|auto. RunBaseline always pins
-    // the VM regardless of this setting — the conventional run is the
-    // differential ground truth.
+    // Map and reduce backend for optimized submissions. kAuto
+    // additionally honors MANIMAL_BACKEND=vm|native|auto. RunBaseline
+    // always pins the VM for both phases regardless of this setting —
+    // the conventional run is the differential ground truth.
     exec::Backend backend = exec::Backend::kAuto;
   };
 

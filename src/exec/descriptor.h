@@ -87,6 +87,10 @@ struct ExecutionDescriptor {
   bool native_eligible = false;
   // Why (shape description) or why not (admission-gate reason).
   std::string native_detail;
+  // The same for the reduce, from codegen::ExtractFoldShape (detail
+  // empty for a map-only program).
+  bool reduce_native_eligible = false;
+  std::string reduce_native_detail;
   // Per-term selectivity estimates keyed by SelectTerm::ToString(),
   // derived from column statistics when available; the native kernel
   // short-circuits conjunct terms most-selective-first.

@@ -305,6 +305,22 @@ Result<PartData> ReadPartFile(const std::string& path) {
   return part;
 }
 
+// Appendix E: true when the reduce provably discards `key`'s group:
+// every filter term yields a bool on it and one has the wrong
+// polarity. A term that cannot be evaluated on this key keeps the
+// pair, and the reduce decides: it may exit before its key test, or
+// raise exactly what it would raise.
+bool ReduceDiscards(const analyzer::ReduceFilterDescriptor& filter,
+                    const Value& key) {
+  bool discards = false;
+  for (const analyzer::SelectTerm& term : filter.required.terms) {
+    Result<Value> verdict = analyzer::EvalExpr(term.expr, key, Value::Null());
+    if (!verdict.ok() || !verdict->is_bool()) return false;
+    discards |= verdict->bool_value() != term.polarity;
+  }
+  return discards;
+}
+
 // Runs one job: input planning, the map phase, the shuffle barrier,
 // the reduce phase, part assembly, and the final output commit. Every
 // task is a retry loop of attempts, and each attempt commits its own
@@ -357,13 +373,21 @@ class JobRunner {
   // ---- native backend (JobConfig::backend, docs/mril.md) ----
   // Resolved in Prepare(): non-null kernel_ means map tasks run the
   // native tier, replaying individual records through a companion VM
-  // whenever the kernel bails out.
+  // whenever the kernel bails out; non-null reduce_kernel_ means
+  // reduce tasks fold groups natively, replaying a bailed group whole.
   std::shared_ptr<const codegen::NativeKernel> kernel_;
   std::string map_backend_name_ = "vm";
   std::string backend_detail_;
+  std::shared_ptr<const codegen::NativeKernel> reduce_kernel_;
+  std::string reduce_backend_name_ = "vm";
+  std::string reduce_backend_detail_;
+  // The reduce VM's options, which the fold's step bound must match.
+  const mril::VmOptions reduce_vm_options_{};
   // Direct-evaluation admission summary (journaled; kept for spans).
   std::string skip_detail_;
   std::atomic<uint64_t> native_tasks_{0}, native_bailouts_{0};
+  std::atomic<uint64_t> native_reduce_groups_{0},
+      reduce_bailout_groups_{0};
 
   // EXPLAIN ANALYZE collection (JobConfig::collect_task_stats).
   // observe_ is resolved in Prepare(): stats requested AND the
@@ -418,7 +442,8 @@ void JobRunner::RunTask(char kind, int index) {
       journal.Event("task_start")
           .Str("job", cfg_.job_id)
           .Str("task", task)
-          .Str("backend", kind == 'm' ? map_backend_name_ : "vm")
+          .Str("backend",
+               kind == 'm' ? map_backend_name_ : reduce_backend_name_)
           .Emit();
     }
     // One span per attempt inside the task's span, so retries show as
@@ -486,20 +511,10 @@ Status JobRunner::MapAttempt(int split_index, int attempt) {
   std::string key_scratch, value_scratch;
   auto emit_pair = [&](const Value& k, const Value& v) -> Status {
     // Appendix E: delete pairs the reduce provably discards.
-    if (descriptor_.reduce_key_filter.has_value()) {
-      for (const analyzer::SelectTerm& term :
-           descriptor_.reduce_key_filter->required.terms) {
-        MANIMAL_ASSIGN_OR_RETURN(
-            Value verdict,
-            analyzer::EvalExpr(term.expr, k, Value::Null()));
-        if (!verdict.is_bool()) {
-          return Status::Internal("non-boolean reduce filter term");
-        }
-        if (verdict.bool_value() != term.polarity) {
-          ++output_filtered;
-          return Status::OK();
-        }
-      }
+    if (descriptor_.reduce_key_filter.has_value() &&
+        ReduceDiscards(*descriptor_.reduce_key_filter, k)) {
+      ++output_filtered;
+      return Status::OK();
     }
     ++output_records;
     if (has_reduce_) {
@@ -642,20 +657,34 @@ Status JobRunner::ReduceAttempt(int partition, int attempt) {
   }
   MANIMAL_ASSIGN_OR_RETURN(std::unique_ptr<PartFile> part,
                            PartFile::Create(PartPath('r', partition)));
-
-  uint64_t num_groups = 0, logs = 0;
-  mril::VmInstance vm(&program_);
-  vm.set_log_sink([&logs](const Value&) { ++logs; });
-  vm.set_emit_sink([&part](const Value& k, const Value& v) -> Status {
+  auto emit = [&part](const Value& k, const Value& v) -> Status {
     std::string* buf = part->buffer();
     MANIMAL_RETURN_IF_ERROR(EncodeValue(k, buf));
     MANIMAL_RETURN_IF_ERROR(EncodeValue(v, buf));
     return part->PairAdded();
-  });
+  };
+
+  // The VM: the sole reduce executor on the vm backend, the whole-
+  // group replayer behind a native fold (created on first use).
+  uint64_t num_groups = 0, logs = 0, folded = 0, replayed = 0;
+  std::unique_ptr<mril::VmInstance> vm;
+  auto ensure_vm = [&]() -> mril::VmInstance* {
+    if (vm == nullptr) {
+      vm = std::make_unique<mril::VmInstance>(&program_,
+                                              reduce_vm_options_);
+      vm->set_log_sink([&logs](const Value&) { ++logs; });
+      vm->set_emit_sink(emit);
+    }
+    return vm.get();
+  };
+  const bool use_fold = reduce_kernel_ != nullptr;
+  if (!use_fold) ensure_vm();
+  codegen::KernelScratch fold_scratch;
 
   // One key and one values list for the whole partition: the iterator
   // refills them in place, and their strings borrow its group buffers
-  // (the VM promotes whatever the reduce retains or emits).
+  // (the VM promotes whatever the reduce retains or emits; the fold
+  // encodes its pair before the next group).
   GroupIterator groups(stream.get());
   Value key, values;
   while (true) {
@@ -665,13 +694,27 @@ Status JobRunner::ReduceAttempt(int partition, int attempt) {
       return Status::Internal("reduce task aborted: job already failed");
     }
     ++num_groups;
-    MANIMAL_RETURN_IF_ERROR(vm.InvokeReduce(key, values));
+    if (use_fold) {
+      // Exactness contract (codegen/kernel.h): a bailed group emitted
+      // nothing, and the VM replays it whole, raising what it would.
+      Value out_key, out_value;
+      if (reduce_kernel_->Run(key, values, &fold_scratch, &out_key,
+                              &out_value) == codegen::KernelOutcome::kEmit) {
+        ++folded;
+        MANIMAL_RETURN_IF_ERROR(emit(out_key, out_value));
+        continue;
+      }
+      ++replayed;
+    }
+    MANIMAL_RETURN_IF_ERROR(ensure_vm()->InvokeReduce(key, values));
   }
   const double seconds = attempt_watch.ElapsedSeconds();
   MANIMAL_RETURN_IF_ERROR(part->Commit());
   // Each task writes only its own slot; read after the phase barrier.
   partition_groups_[partition] = num_groups;
   log_messages_.fetch_add(logs, std::memory_order_relaxed);
+  native_reduce_groups_.fetch_add(folded, std::memory_order_relaxed);
+  reduce_bailout_groups_.fetch_add(replayed, std::memory_order_relaxed);
   if (cfg_.collect_task_stats) {
     TaskStat stat;
     stat.kind = 'r';
@@ -680,7 +723,8 @@ Status JobRunner::ReduceAttempt(int partition, int attempt) {
     stat.records_in = num_groups;
     stat.records_out = part->num_pairs();
     stat.bytes_written = part->payload_bytes();
-    stat.vm_instructions = vm.total_steps();
+    stat.vm_instructions =
+        vm != nullptr ? static_cast<uint64_t>(vm->total_steps()) : 0;
     stat.seconds = seconds;
     RecordTaskStat(stat, {});
   }
@@ -738,10 +782,11 @@ Status JobRunner::AssembleOutput(char kind, int num_parts) {
 }
 
 // Resolves JobConfig::backend (plus the MANIMAL_BACKEND env override,
-// honored only in kAuto) into the map tier for this job. `auto` uses
-// the native kernel only when compilation succeeds — i.e. the
-// analyzer facts describe the map exactly — and silently falls back
-// to the VM otherwise, recording why in backend_detail_.
+// honored only in kAuto) into the map and reduce tiers for this job.
+// Each phase uses its native kernel only when compilation succeeds —
+// i.e. the analyzer facts describe the function exactly — and
+// silently falls back to the VM otherwise, recording why in the
+// phase's detail. kNative fails the job only for a refused map.
 Status JobRunner::ResolveBackend() {
   Backend requested = cfg_.backend;
   if (requested == Backend::kAuto) {
@@ -753,7 +798,19 @@ Status JobRunner::ResolveBackend() {
   }
   if (requested == Backend::kVm) {
     backend_detail_ = "vm requested";
+    if (has_reduce_) reduce_backend_detail_ = "vm requested";
     return Status::OK();
+  }
+  if (has_reduce_) {
+    Result<std::shared_ptr<const codegen::NativeKernel>> fold =
+        codegen::CompileReduceKernel(program_, reduce_vm_options_);
+    if (fold.ok()) {
+      reduce_kernel_ = std::move(*fold);
+      reduce_backend_name_ = "native";
+      reduce_backend_detail_ = reduce_kernel_->Describe();
+    } else {
+      reduce_backend_detail_ = "vm fallback: " + fold.status().message();
+    }
   }
   codegen::CompileOptions opts;
   opts.field_remap = field_remap_;
@@ -931,6 +988,8 @@ Result<JobResult> JobRunner::Run() {
   result_.counters.tasks_failed = tasks_failed_.load();
   result_.counters.native_tasks = native_tasks_.load();
   result_.counters.native_bailout_records = native_bailouts_.load();
+  result_.counters.native_reduce_groups = native_reduce_groups_.load();
+  result_.counters.reduce_bailout_groups = reduce_bailout_groups_.load();
   result_.counters.bytes_decoded = bytes_decoded_.load();
   result_.counters.blocks_skipped = blocks_skipped_.load();
   obs::MetricsRegistry::Get()
@@ -941,6 +1000,10 @@ Result<JobResult> JobRunner::Run() {
       ->Add(result_.counters.blocks_skipped);
   result_.backend = map_backend_name_;
   result_.backend_detail = backend_detail_;
+  if (has_reduce_) {
+    result_.reduce_backend = reduce_backend_name_;
+    result_.reduce_backend_detail = reduce_backend_detail_;
+  }
 
   result_.phase_breakdown["map"].bytes =
       result_.counters.input_bytes + result_.counters.map_output_bytes;

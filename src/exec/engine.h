@@ -23,11 +23,13 @@
 
 namespace manimal::exec {
 
-// Which execution tier runs the map function (docs/mril.md "Native
-// kernels"). kAuto compiles a native kernel when the analyzer facts
-// are exact (codegen::ExtractShape admits the program) and silently
-// falls back to the VM otherwise; kNative fails the job when the
-// program is not admissible; kVm never probes the native tier.
+// Which execution tier runs the map and reduce functions (docs/mril.md
+// "Native kernels" and "Reduce folds"). kAuto compiles a native kernel
+// for each phase whose function the admission gate admits
+// (codegen::ExtractShape for the map, codegen::ExtractFoldShape for
+// the reduce) and silently falls back to the VM otherwise; kNative
+// fails the job when the map is not admissible (a refused reduce
+// still runs on the VM); kVm never probes the native tier.
 enum class Backend {
   kAuto = 0,
   kVm,
@@ -104,9 +106,9 @@ struct JobConfig {
   // ---- execution backend (docs/mril.md "Native kernels") ----
   // kAuto additionally honors the MANIMAL_BACKEND env var
   // (vm|native|auto); an explicit kVm / kNative here always wins over
-  // the environment. The resolved choice is recorded on JobResult,
-  // every task_start journal event, and the engine.native_tasks
-  // counter.
+  // the environment. The same choice covers both phases. The resolved
+  // tiers are recorded on JobResult, every task_start journal event,
+  // and the native counters.
   Backend backend = Backend::kAuto;
 };
 
@@ -143,6 +145,10 @@ struct JobCounters {
   // replayed through the VM because the kernel bailed out.
   uint64_t native_tasks = 0;
   uint64_t native_bailout_records = 0;
+  // Reduce folds: groups committed reduce tasks folded natively, and
+  // groups they replayed whole through the VM after a bailout.
+  uint64_t native_reduce_groups = 0;
+  uint64_t reduce_bailout_groups = 0;
 };
 
 // One named phase of a job's wall time, with the bytes that phase
@@ -165,7 +171,9 @@ struct TaskStat {
   uint64_t records_out = 0;  // pairs emitted
   uint64_t bytes_read = 0;
   uint64_t bytes_written = 0;
-  uint64_t vm_instructions = 0;  // VM steps executed by the attempt
+  // VM steps executed by the attempt (for a reduce task with a native
+  // fold, only its replayed groups).
+  uint64_t vm_instructions = 0;
   double seconds = 0;            // attempt work time (excludes commit)
 };
 
@@ -213,6 +221,9 @@ struct JobResult {
   // description, or the admission-gate reason behind a vm fallback.
   std::string backend;
   std::string backend_detail;
+  // The same for the reduce phase; both empty for a map-only job.
+  std::string reduce_backend;
+  std::string reduce_backend_detail;
 };
 
 // Runs the job described by `descriptor` under `config`.

@@ -133,6 +133,11 @@ ExplainReport MakeExplainReport(const Plan& plan) {
     report.plan.native_eligible = plan.descriptor.native_eligible;
     report.plan.native_detail = plan.descriptor.native_detail;
   }
+  if (report.plan.reduce_native_detail.empty()) {
+    report.plan.reduce_native_eligible =
+        plan.descriptor.reduce_native_eligible;
+    report.plan.reduce_native_detail = plan.descriptor.reduce_native_detail;
+  }
   return report;
 }
 
@@ -160,6 +165,8 @@ ExplainReport MakeExplainReport(const Plan& plan,
   report.reported_seconds = result.reported_seconds;
   report.backend = result.backend;
   report.backend_detail = result.backend_detail;
+  report.reduce_backend = result.reduce_backend;
+  report.reduce_backend_detail = result.reduce_backend_detail;
   return report;
 }
 
@@ -187,6 +194,11 @@ std::string ExplainReport::ToText() const {
     out += StrPrintf("  native: eligible=%s (%s)\n",
                      plan.native_eligible ? "yes" : "no",
                      plan.native_detail.c_str());
+  }
+  if (!plan.reduce_native_detail.empty()) {
+    out += StrPrintf("  reduce native: eligible=%s (%s)\n",
+                     plan.reduce_native_eligible ? "yes" : "no",
+                     plan.reduce_native_detail.c_str());
   }
   if (plan.est_bytes >= 0 || plan.est_selectivity >= 0 ||
       plan.baseline_bytes >= 0) {
@@ -241,6 +253,17 @@ std::string ExplainReport::ToText() const {
                      static_cast<unsigned long long>(
                          counters.native_bailout_records));
     out += "\n";
+  }
+  if (!reduce_backend.empty()) {
+    out += "  reduce backend: " + reduce_backend;
+    if (!reduce_backend_detail.empty()) {
+      out += " (" + reduce_backend_detail + ")";
+    }
+    out += StrPrintf(" native_reduce_groups=%llu bailout_groups=%llu\n",
+                     static_cast<unsigned long long>(
+                         counters.native_reduce_groups),
+                     static_cast<unsigned long long>(
+                         counters.reduce_bailout_groups));
   }
   out += StrPrintf("  time: wall=%.3fs reported=%.3fs\n", wall_seconds,
                    reported_seconds);
@@ -338,6 +361,12 @@ std::string ExplainReport::ToJson() const {
   if (!plan.native_detail.empty()) {
     out += ",\"native_detail\":" + JsonQuote(plan.native_detail);
   }
+  out += ",\"reduce_native_eligible\":";
+  out += plan.reduce_native_eligible ? "true" : "false";
+  if (!plan.reduce_native_detail.empty()) {
+    out += ",\"reduce_native_detail\":" +
+           JsonQuote(plan.reduce_native_detail);
+  }
   out += ",\"candidates\":[";
   for (size_t i = 0; i < plan.candidates.size(); ++i) {
     const CandidateExplain& c = plan.candidates[i];
@@ -389,6 +418,13 @@ std::string ExplainReport::ToJson() const {
         out += ",\"backend_detail\":" + JsonQuote(backend_detail);
       }
     }
+    if (!reduce_backend.empty()) {
+      out += ",\"reduce_backend\":" + JsonQuote(reduce_backend);
+      if (!reduce_backend_detail.empty()) {
+        out += ",\"reduce_backend_detail\":" +
+               JsonQuote(reduce_backend_detail);
+      }
+    }
     out += ",\"wall_seconds\":" + JsonNumber(wall_seconds);
     out += ",\"reported_seconds\":" + JsonNumber(reported_seconds);
     out += ",\"phases\":{";
@@ -415,6 +451,10 @@ std::string ExplainReport::ToJson() const {
     out += ",\"native_tasks\":" + std::to_string(counters.native_tasks);
     out += ",\"native_bailout_records\":" +
            std::to_string(counters.native_bailout_records);
+    out += ",\"native_reduce_groups\":" +
+           std::to_string(counters.native_reduce_groups);
+    out += ",\"reduce_bailout_groups\":" +
+           std::to_string(counters.reduce_bailout_groups);
     out += ",\"bytes_decoded\":" + std::to_string(counters.bytes_decoded);
     out += ",\"blocks_skipped\":" +
            std::to_string(counters.blocks_skipped);

@@ -100,6 +100,10 @@ struct PlanExplain {
   // ExplainReport::backend), but eligibility is a plan property.
   bool native_eligible = false;
   std::string native_detail;
+  // The same for the reduce's fold (codegen::ExtractFoldShape); the
+  // detail is empty for a map-only program.
+  bool reduce_native_eligible = false;
+  std::string reduce_native_detail;
 };
 
 // One row of the estimated-vs-actual selectivity comparison, keyed by
@@ -140,6 +144,10 @@ struct ExplainReport {
   // the kernel description / fallback reason (JobResult::backend).
   std::string backend;
   std::string backend_detail;
+  // The same for the reduce phase (JobResult::reduce_backend); empty
+  // for a map-only job.
+  std::string reduce_backend;
+  std::string reduce_backend_detail;
 
   // Multi-line human-readable rendering.
   std::string ToText() const;

@@ -199,11 +199,11 @@ Result<Plan> MakePlanForSpec(const mril::Program& program,
 
 namespace {
 
-// Probes the native codegen tier's admission gate against the chosen
-// plan's (possibly constant-patched) program and runtime field
-// layout, and — when admitted and statistics exist — derives a
-// per-term selectivity estimate so the kernel can short-circuit
-// conjunct terms most-selective-first.
+// Probes the native codegen tier's admission gates (the map's and the
+// reduce fold's) against the chosen plan's (possibly constant-patched)
+// program and runtime field layout, and — when the map is admitted
+// and statistics exist — derives a per-term selectivity estimate so
+// the kernel can short-circuit conjunct terms most-selective-first.
 void AttachNativeEligibility(Plan* plan, PlanExplain* ex,
                              const stats::TableStats* stats) {
   exec::ExecutionDescriptor& d = plan->descriptor;
@@ -244,8 +244,16 @@ void AttachNativeEligibility(Plan* plan, PlanExplain* ex,
       }
     }
   }
+  if (d.program.has_reduce()) {
+    Result<codegen::FoldShape> fold = codegen::ExtractFoldShape(d.program);
+    d.reduce_native_eligible = fold.ok();
+    d.reduce_native_detail =
+        fold.ok() ? fold->Describe() : fold.status().message();
+  }
   ex->native_eligible = d.native_eligible;
   ex->native_detail = d.native_detail;
+  ex->reduce_native_eligible = d.reduce_native_eligible;
+  ex->reduce_native_detail = d.reduce_native_detail;
 }
 
 // Completes the plan with its EXPLAIN payload and the EXPLAIN ANALYZE

@@ -108,7 +108,8 @@ class DifferentialHarness : public ::testing::Test {
   // submissions only — RunBaseline pins the VM internally, so the
   // ground truth never depends on it. When `native_jobs` is non-null
   // it accumulates how many submissions actually resolved to the
-  // native backend.
+  // native backend; native_reduce_groups_ accumulates the groups the
+  // submissions folded natively.
   void RunSeed(uint64_t seed, const TempDir& scratch,
                exec::Backend backend = exec::Backend::kVm,
                int* native_jobs = nullptr) {
@@ -168,6 +169,7 @@ class DifferentialHarness : public ::testing::Test {
       if (native_jobs != nullptr && outcome.job.backend == "native") {
         ++*native_jobs;
       }
+      native_reduce_groups_ += outcome.job.counters.native_reduce_groups;
       ASSERT_OK_AND_ASSIGN(auto pairs,
                            exec::ReadCanonicalPairs(job.output_path));
       EXPECT_EQ(pairs, canonical)
@@ -231,6 +233,7 @@ class DifferentialHarness : public ::testing::Test {
   }
 
   static TempDir* dir_;
+  uint64_t native_reduce_groups_ = 0;
 };
 
 TempDir* DifferentialHarness::dir_ = nullptr;
@@ -331,9 +334,11 @@ TEST_F(DifferentialHarness, NativeBackendPlansMatchBaseline) {
     RunSeed(seed, scratch, exec::Backend::kAuto, &native_jobs);
     if (::testing::Test::HasFatalFailure()) return;
   }
-  // The leg is only meaningful if the native tier actually engaged.
+  // The leg is only meaningful if the native tier actually engaged,
+  // in both phases.
   EXPECT_GE(native_jobs, 1)
       << "auto backend never resolved to a native kernel";
+  EXPECT_GT(native_reduce_groups_, 0u) << "no reduce group was folded";
   const std::string metrics = core::ManimalSystem::DumpMetricsJson();
   EXPECT_NE(metrics.find("engine.native_tasks"), std::string::npos);
 }
@@ -361,6 +366,50 @@ TEST_F(DifferentialHarness,
   }
   EXPECT_GE(native_jobs, 1)
       << "auto backend never resolved to a native kernel";
+  EXPECT_GT(native_reduce_groups_, 0u) << "no reduce group was folded";
+}
+
+// The VM-pinned runs fold nothing: RunBaseline (the ground truth) and
+// a Submit under MANIMAL_BACKEND=vm run every reduce group on the VM,
+// while the same Submit under auto folds them, with the same output.
+TEST_F(DifferentialHarness, VmPinnedRunsFoldNoGroup) {
+  TempDir scratch("diff-vm-pinned");
+  ASSERT_OK_AND_ASSIGN(
+      auto system,
+      core::ManimalSystem::Open(SystemOptions(scratch.file("ws"))));
+  core::ManimalSystem::Submission job;
+  job.program = workloads::SelectionCountQuery(kRankRange / 2);
+  job.input_path = input_path();
+
+  job.output_path = scratch.file("baseline.prs");
+  ASSERT_OK_AND_ASSIGN(exec::JobResult baseline, system->RunBaseline(job));
+  EXPECT_EQ(baseline.reduce_backend, "vm");
+  EXPECT_EQ(baseline.counters.native_reduce_groups, 0u);
+  EXPECT_GT(baseline.counters.reduce_groups, 0u);
+  ASSERT_OK_AND_ASSIGN(auto canonical,
+                       exec::ReadCanonicalPairs(job.output_path));
+
+  for (const char* backend : {"vm", "auto"}) {
+    SCOPED_TRACE(std::string("MANIMAL_BACKEND=") + backend);
+    ScopedEnvVar env("MANIMAL_BACKEND", backend);
+    job.output_path = scratch.file(std::string(backend) + ".prs");
+    ASSERT_OK_AND_ASSIGN(auto outcome, system->Submit(job));
+    const exec::JobResult& result = outcome.job;
+    if (std::string(backend) == "vm") {
+      EXPECT_EQ(result.reduce_backend, "vm");
+      EXPECT_EQ(result.reduce_backend_detail, "vm requested");
+      EXPECT_EQ(result.counters.native_reduce_groups, 0u);
+    } else {
+      EXPECT_EQ(result.reduce_backend, "native")
+          << result.reduce_backend_detail;
+      EXPECT_EQ(result.counters.native_reduce_groups,
+                result.counters.reduce_groups);
+    }
+    EXPECT_EQ(result.counters.reduce_bailout_groups, 0u);
+    ASSERT_OK_AND_ASSIGN(auto pairs,
+                         exec::ReadCanonicalPairs(job.output_path));
+    EXPECT_EQ(pairs, canonical);
+  }
 }
 
 // `auto` on a map the admission gate rejects must degrade silently to

@@ -201,6 +201,73 @@ TEST(ExplainTest, AnalyzeObservedSelectivityMatchesVmExecution) {
   EXPECT_NE(text.find("selectivity"), std::string::npos);
 }
 
+// The reduce tier is visible on both sides of EXPLAIN ANALYZE: the
+// plan says whether the reduce is a fold and which, and the run says
+// which tier reduced and how many groups it folded.
+TEST(ExplainTest, AnalyzeShowsTheReduceTier) {
+  TempDir dir("explain5");
+  GeneratePages(dir.file("pages.msq"), 500);
+  auto options = BaseOptions(dir.file("ws"));
+  options.explain = ExplainMode::kAnalyze;
+  ASSERT_OK_AND_ASSIGN(auto system, core::ManimalSystem::Open(options));
+  core::ManimalSystem::Submission job;
+  job.program = workloads::SelectionCountQuery(50);
+  job.input_path = dir.file("pages.msq");
+  job.output_path = dir.file("out.prs");
+  ASSERT_OK_AND_ASSIGN(auto outcome, system->Submit(job));
+  ASSERT_TRUE(outcome.explain.has_value());
+  const ExplainReport& ex = *outcome.explain;
+  EXPECT_TRUE(ex.plan.reduce_native_eligible);
+  EXPECT_EQ(ex.plan.reduce_native_detail,
+            "fold acc = i64:0; per value acc = (acc add elem); "
+            "emit(key, acc)");
+  EXPECT_EQ(ex.reduce_backend, "native");
+  EXPECT_GT(ex.counters.native_reduce_groups, 0u);
+  EXPECT_EQ(ex.counters.native_reduce_groups, ex.counters.reduce_groups);
+  EXPECT_EQ(ex.counters.reduce_bailout_groups, 0u);
+  for (const exec::TaskStat& t : ex.tasks) {
+    if (t.kind == 'r') {
+      EXPECT_EQ(t.vm_instructions, 0u);
+    }
+  }
+  const std::string text = ex.ToText();
+  EXPECT_NE(text.find("reduce native: eligible=yes (fold acc"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("reduce backend: native (closure fold"),
+            std::string::npos)
+      << text;
+
+  obs::JsonValue parsed;
+  std::string error;
+  ASSERT_TRUE(obs::JsonParse(ex.ToJson(), &parsed, &error)) << error;
+  const obs::JsonValue* plan = parsed.Find("plan");
+  ASSERT_NE(plan, nullptr);
+  ASSERT_NE(plan->Find("reduce_native_eligible"), nullptr);
+  EXPECT_TRUE(plan->Find("reduce_native_eligible")->bool_value);
+  EXPECT_EQ(plan->StringOr("reduce_native_detail", ""),
+            ex.plan.reduce_native_detail);
+  const obs::JsonValue* exec_json = parsed.Find("exec");
+  ASSERT_NE(exec_json, nullptr);
+  EXPECT_EQ(exec_json->StringOr("reduce_backend", ""), "native");
+  const obs::JsonValue* counters = exec_json->Find("counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_EQ(counters->NumberOr("native_reduce_groups", -1),
+            static_cast<double>(ex.counters.native_reduce_groups));
+  EXPECT_EQ(counters->NumberOr("reduce_bailout_groups", -1), 0);
+
+  // A map-only job has no reduce tier to report.
+  job.program = workloads::ProjectionQuery(50);
+  job.output_path = dir.file("map-only.prs");
+  ASSERT_OK_AND_ASSIGN(auto map_only, system->Submit(job));
+  ASSERT_TRUE(map_only.explain.has_value());
+  EXPECT_FALSE(map_only.explain->plan.reduce_native_eligible);
+  EXPECT_EQ(map_only.explain->plan.reduce_native_detail, "");
+  EXPECT_EQ(map_only.explain->reduce_backend, "");
+  EXPECT_EQ(map_only.explain->ToText().find("reduce backend"),
+            std::string::npos);
+}
+
 // With a B+Tree artifact cataloged, the drift report joins the
 // tree-derived estimate against the observation, giving ROADMAP item
 // 4 its feedback signal. (Under the indexed plan the scan pre-filters

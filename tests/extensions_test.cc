@@ -218,6 +218,55 @@ TEST(ReduceFilterTest, IncomparableKeyFailsLikeBaseline) {
       << "no filter: the literal was never evaluated outside the VM";
 }
 
+// The reduce exits on its size check before it tests the key, so the
+// filter literal (str key > i64) is one the reduce never evaluates:
+// the conventional run succeeds with no output, and the filter must
+// keep every pair it cannot evaluate rather than fail the job.
+TEST(ReduceFilterTest, IncomparableKeyUnreachedPassesLikeBaseline) {
+  TempDir dir("reduce-filter-unreached");
+  workloads::WebPagesOptions gen;
+  gen.num_pages = 200;
+  ASSERT_OK(
+      workloads::GenerateWebPages(dir.file("pages.msq"), gen).status());
+
+  ProgramBuilder b("url-exits-before-key-test");
+  b.SetValueSchema(workloads::WebPagesSchema());
+  b.Map().LoadParam(1).GetField("url").LoadI64(1).Emit().Ret();
+  auto& r = b.Reduce();
+  r.LoadParam(1).Call("list.len").LoadI64(1).CmpGe().JmpIfFalse("test");
+  r.Ret();
+  r.Label("test");
+  r.LoadParam(0).LoadI64(5).CmpGt().JmpIfFalse("end");
+  r.LoadParam(0).LoadI64(1).Emit();
+  r.Label("end").Ret();
+
+  core::ManimalSystem::Options options;
+  options.workspace_dir = dir.file("ws");
+  options.simulated_startup_seconds = 0;
+  options.retry_backoff_ms = 0;
+  ASSERT_OK_AND_ASSIGN(auto system, core::ManimalSystem::Open(options));
+  core::ManimalSystem::Submission job;
+  job.program = b.Build();
+  job.input_path = dir.file("pages.msq");
+  ASSERT_OK_AND_ASSIGN(AnalysisReport report, Analyze(job.program));
+  ASSERT_TRUE(report.reduce_filter.has_value());
+  EXPECT_EQ(report.reduce_filter->required.terms.at(0).expr->ToString(),
+            "(param0 cmp_gt i64:5)");
+
+  job.output_path = dir.file("base.prs");
+  ASSERT_OK_AND_ASSIGN(exec::JobResult baseline, system->RunBaseline(job));
+  EXPECT_EQ(baseline.counters.output_records, 0u);
+
+  job.output_path = dir.file("opt.prs");
+  ASSERT_OK_AND_ASSIGN(auto outcome, system->Submit(job));
+  EXPECT_EQ(outcome.job.counters.map_output_filtered, 0u);
+  ASSERT_OK_AND_ASSIGN(std::string base_bytes,
+                       ReadFileToString(dir.file("base.prs")));
+  ASSERT_OK_AND_ASSIGN(std::string opt_bytes,
+                       ReadFileToString(dir.file("opt.prs")));
+  EXPECT_EQ(opt_bytes, base_bytes);
+}
+
 // ---------------- safe mode ----------------
 
 TEST(SafeModeTest, LoggingMapLosesSelection) {

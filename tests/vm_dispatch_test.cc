@@ -1,7 +1,8 @@
 // The VM-vs-native-kernel differential plus unit coverage for the VM
 // hot-path machinery: detected-relational programs compiled to a
 // native codegen kernel (with per-record VM replay on bailout, the
-// engine's contract) must produce byte-identical traces to the VM on
+// engine's contract), their reduces to folds where admitted (with
+// whole-group replay), must produce byte-identical traces to the VM on
 // the corpus and on a seeded fuzz corpus; a VM run must not depend on
 // whether record strings are borrowed or owned; every MRIL operator
 // must mean the same in the VM, the native kernel and the analyzer's
@@ -89,10 +90,13 @@ std::vector<Value> MakeWebPagesRecords(uint64_t seed, int count,
 }
 
 // Groups map output by key (first-seen order) and reduces each group
-// on `vm`, capturing reduce-side emits and statuses into `trace`.
+// on `vm`, capturing reduce-side emits and statuses into `trace`. With
+// a `fold` kernel, each group runs on it first and only a bailed group
+// is replayed whole on `vm` (the engine's reduce contract).
 void RunReduce(const mril::Program& program, VmInstance* vm,
                std::vector<std::pair<Value, Value>> emitted,
-               RunTrace* trace) {
+               RunTrace* trace,
+               const codegen::NativeKernel* fold = nullptr) {
   if (!program.has_reduce()) return;
   std::vector<std::pair<Value, ValueList>> groups;
   std::map<std::string, size_t> index;
@@ -101,9 +105,19 @@ void RunReduce(const mril::Program& program, VmInstance* vm,
     if (inserted) groups.emplace_back(k, ValueList{});
     groups[it->second].second.push_back(std::move(v));
   }
-  for (auto& [key, values] : groups) {
-    Status s = vm->InvokeReduce(key, Value::List(std::move(values)));
-    trace->statuses.push_back(s.ToString());
+  codegen::KernelScratch scratch;
+  for (auto& [key, list] : groups) {
+    const Value values = Value::List(std::move(list));
+    Value out_key, out_value;
+    if (fold != nullptr &&
+        fold->Run(key, values, &scratch, &out_key, &out_value) ==
+            codegen::KernelOutcome::kEmit) {
+      trace->emits.push_back(out_key.ToString() + " -> " +
+                             out_value.ToString());
+      trace->statuses.push_back(Status::OK().ToString());
+      continue;
+    }
+    trace->statuses.push_back(vm->InvokeReduce(key, values).ToString());
   }
 }
 
@@ -134,14 +148,16 @@ RunTrace RunVm(const mril::Program& program,
   return trace;
 }
 
-// The native codegen kernel. Same observables as RunVm, with the
-// engine's contract applied verbatim — every kBailout record is
-// replayed through a VM, which reproduces emits, logs, and error
-// statuses. VM step counts are not comparable across tiers, so steps
-// stays 0 and the comparison checks emits/logs/statuses only.
+// The native codegen kernels. Same observables as RunVm, with the
+// engine's contract applied verbatim — every kBailout record (or
+// group, under a `fold`) is replayed through a VM, which reproduces
+// emits, logs, and error statuses. VM step counts are not comparable
+// across tiers, so steps stays 0 and the comparison checks
+// emits/logs/statuses only.
 RunTrace RunUnderKernel(
     const mril::Program& program, const std::vector<Value>& records,
-    const std::shared_ptr<const codegen::NativeKernel>& kernel) {
+    const std::shared_ptr<const codegen::NativeKernel>& kernel,
+    const codegen::NativeKernel* fold) {
   RunTrace trace;
   VmInstance vm(&program, VmOptions{});
 
@@ -171,23 +187,31 @@ RunTrace RunUnderKernel(
     }
     trace.statuses.push_back(Status::OK().ToString());
   }
-  RunReduce(program, &vm, std::move(emitted), &trace);
+  RunReduce(program, &vm, std::move(emitted), &trace, fold);
   return trace;
 }
 
-// Compiles an admitted program and checks the kernel against the VM
+// Compiles an admitted program, and its reduce fold when that is
+// admitted too, and checks the kernels against the VM
 // (emits/logs/statuses). The kernel must cover every admitted shape.
-void ExpectKernelMatchesVm(const mril::Program& program,
+// Returns whether the reduce ran on a fold.
+bool ExpectKernelMatchesVm(const mril::Program& program,
                            const std::vector<Value>& records) {
   Result<std::shared_ptr<const codegen::NativeKernel>> kernel =
       codegen::CompileKernel(program, codegen::CompileOptions{});
-  ASSERT_OK(kernel.status());
-  SCOPED_TRACE((*kernel)->Describe());
+  EXPECT_OK(kernel.status());
+  if (!kernel.ok()) return false;
+  Result<std::shared_ptr<const codegen::NativeKernel>> fold =
+      codegen::CompileReduceKernel(program, VmOptions{});
+  SCOPED_TRACE((*kernel)->Describe() + " / " +
+               (fold.ok() ? (*fold)->Describe() : fold.status().message()));
   RunTrace vm = RunVm(program, records);
-  RunTrace native = RunUnderKernel(program, records, *kernel);
+  RunTrace native = RunUnderKernel(program, records, *kernel,
+                                   fold.ok() ? fold->get() : nullptr);
   EXPECT_EQ(vm.emits, native.emits);
   EXPECT_EQ(vm.logs, native.logs);
   EXPECT_EQ(vm.statuses, native.statuses);
+  return fold.ok();
 }
 
 std::vector<std::string> CorpusFiles() {
@@ -209,7 +233,8 @@ std::vector<std::string> CorpusFiles() {
 
 // Every corpus program whose map the admission gate accepts runs the
 // comparison; the corpus is known to contain admitted selection/
-// projection programs, so at least one must qualify.
+// projection programs, so at least one must qualify, and the reduces
+// of sum_rank.mril and count_by_mod.mril run on folds.
 TEST(ThreeWayDifferential, AdmittedCorpusProgramsAgree) {
   std::vector<std::string> files = CorpusFiles();
   ASSERT_GE(files.size(), 4u)
@@ -217,6 +242,7 @@ TEST(ThreeWayDifferential, AdmittedCorpusProgramsAgree) {
   std::vector<Value> records = MakeWebPagesRecords(/*seed=*/7, 128,
                                                    /*rank_range=*/100);
   int admitted = 0;
+  std::vector<std::string> folded;
   for (const std::string& path : files) {
     SCOPED_TRACE(path);
     ASSERT_OK_AND_ASSIGN(std::string text, ReadFileToString(path));
@@ -225,10 +251,16 @@ TEST(ThreeWayDifferential, AdmittedCorpusProgramsAgree) {
     ASSERT_OK(mril::VerifyProgram(program));
     if (!codegen::ExtractShape(program).ok()) continue;
     ++admitted;
-    ExpectKernelMatchesVm(program, records);
+    if (ExpectKernelMatchesVm(program, records)) {
+      folded.push_back(path.substr(path.rfind('/') + 1));
+    }
   }
   EXPECT_GE(admitted, 1) << "no corpus program passed the admission "
                             "gate; the differential ran empty";
+  for (const char* name : {"count_by_mod.mril", "sum_rank.mril"}) {
+    EXPECT_NE(std::find(folded.begin(), folded.end(), name), folded.end())
+        << name << "'s reduce did not run on a fold";
+  }
 }
 
 // The provable-shape generator mode: every seed must pass the

@@ -275,19 +275,22 @@ void CheckExplain(const std::string& path) {
                      &missing)) {
           Fail(path, i + 1, "exec missing '" + missing + "'");
         }
-        // The resolved map backend is "vm" or "native" when reported,
-        // and the counters object always carries the native-tier pair
-        // (zero for pure-VM runs).
-        const JsonValue* backend = exec->Find("backend");
-        if (backend != nullptr) {
-          const std::string name = exec->StringOr("backend", "");
+        // The resolved map and reduce backends are "vm" or "native"
+        // when reported, and the counters object always carries the
+        // native-tier counters of both phases (zero for pure-VM runs).
+        for (const char* key : {"backend", "reduce_backend"}) {
+          if (exec->Find(key) == nullptr) continue;
+          const std::string name = exec->StringOr(key, "");
           if (name != "vm" && name != "native") {
-            Fail(path, i + 1, "exec backend '" + name + "' unexpected");
+            Fail(path, i + 1,
+                 "exec " + std::string(key) + " '" + name + "' unexpected");
           }
         }
         const JsonValue* counters = exec->Find("counters");
         if (counters != nullptr && counters->is_object() &&
-            !HasKeys(*counters, {"native_tasks", "native_bailout_records"},
+            !HasKeys(*counters,
+                     {"native_tasks", "native_bailout_records",
+                      "native_reduce_groups", "reduce_bailout_groups"},
                      &missing)) {
           Fail(path, i + 1, "exec counters missing '" + missing + "'");
         }
