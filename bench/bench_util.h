@@ -181,18 +181,14 @@ class JsonRow {
     return Raw(key, StrPrintf("%lld", static_cast<long long>(value)));
   }
 
-  // Expands a JobResult: timings, key counters, phase breakdown.
+  // Expands a JobResult: timings, every job counter, phase breakdown.
   JsonRow& Job(const exec::JobResult& job) {
     Num("wall_seconds", job.wall_seconds);
     Num("reported_seconds", job.reported_seconds);
     Num("simulated_io_seconds", job.simulated_io_seconds);
-    Int("input_records", job.counters.input_records);
-    Int("input_bytes", job.counters.input_bytes);
-    Int("map_output_bytes", job.counters.map_output_bytes);
-    Int("output_records", job.counters.output_records);
-    Int("bytes_decoded", job.counters.bytes_decoded);
-    Int("blocks_skipped", job.counters.blocks_skipped);
-    Int("shuffle_spilled_runs", job.counters.shuffle_spilled_runs);
+    job.counters.ForEach([this](const char* name, uint64_t value) {
+      Int(name, static_cast<int64_t>(value));
+    });
     std::string phases;
     for (const auto& [name, stat] : job.phase_breakdown) {
       if (!phases.empty()) phases += ",";

@@ -334,6 +334,8 @@ class JobRunner {
         has_reduce_(descriptor.program.has_reduce()) {}
 
   Result<JobResult> Run();
+  // Complete once Run() has returned, whatever its outcome.
+  const JobCounters& counters() const { return counters_; }
 
  private:
   Status Prepare();
@@ -344,6 +346,7 @@ class JobRunner {
   Status MapAttempt(int split_index, int attempt);
   Status ReduceAttempt(int partition, int attempt);
   void Backoff(int attempt) const;
+  void AddCounters(const JobCounters& counts);
   void RecordTaskStat(const TaskStat& stat,
                       const std::vector<uint64_t>& interval_matches);
 
@@ -362,13 +365,10 @@ class JobRunner {
   std::unique_ptr<OutputWriter> out_;
   ErrorLatch errors_;
 
-  std::vector<uint64_t> partition_groups_;
-
-  std::atomic<uint64_t> input_records_{0}, input_bytes_{0},
-      map_invocations_{0}, map_output_records_{0}, map_output_bytes_{0},
-      map_output_filtered_{0}, log_messages_{0};
-  std::atomic<uint64_t> bytes_decoded_{0}, blocks_skipped_{0};
-  std::atomic<uint64_t> task_retries_{0}, tasks_failed_{0};
+  // The job's total: task attempts add their own JobCounters once, at
+  // commit, and RunTask adds a task's retries and failure.
+  std::mutex counters_mu_;
+  JobCounters counters_;
 
   // ---- native backend (JobConfig::backend, docs/mril.md) ----
   // Resolved in Prepare(): non-null kernel_ means map tasks run the
@@ -385,9 +385,6 @@ class JobRunner {
   const mril::VmOptions reduce_vm_options_{};
   // Direct-evaluation admission summary (journaled; kept for spans).
   std::string skip_detail_;
-  std::atomic<uint64_t> native_tasks_{0}, native_bailouts_{0};
-  std::atomic<uint64_t> native_reduce_groups_{0},
-      reduce_bailout_groups_{0};
 
   // EXPLAIN ANALYZE collection (JobConfig::collect_task_stats).
   // observe_ is resolved in Prepare(): stats requested AND the
@@ -411,22 +408,29 @@ void JobRunner::Backoff(int attempt) const {
       std::chrono::microseconds(static_cast<int64_t>(ms * 1000)));
 }
 
+void JobRunner::AddCounters(const JobCounters& counts) {
+  std::lock_guard<std::mutex> lock(counters_mu_);
+  counters_ += counts;
+}
+
 // Attempts one task until an attempt commits: an IOError (transient,
 // e.g. an injected fault) is retried after a backoff while the budget
 // lasts; any other error fails the job at once.
 void JobRunner::RunTask(char kind, int index) {
-  auto& metrics = obs::MetricsRegistry::Get();
   auto& journal = obs::Journal::Get();
   const std::string task = TaskId(kind, index);
   const char* attempt_span_name =
       kind == 'm' ? "map_task_attempt" : "reduce_task_attempt";
   const int max_attempts = std::max(1, cfg_.max_task_attempts);
+  JobCounters counts;
   Status last;
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    if (errors_.Failed()) return;
+    if (errors_.Failed()) {
+      AddCounters(counts);
+      return;
+    }
     if (attempt > 1) {
-      task_retries_.fetch_add(1, std::memory_order_relaxed);
-      metrics.GetCounter("engine.task_retries")->Increment();
+      ++counts.task_retries;
       obs::TraceInstant("engine.task_retry", "exec",
                         {{"task", task},
                          {"attempt", std::to_string(attempt)},
@@ -464,12 +468,13 @@ void JobRunner::RunTask(char kind, int index) {
           .Str("task", task)
           .Int("attempt", attempt)
           .Emit();
+      AddCounters(counts);
       return;
     }
     if (!last.IsIOError()) break;  // semantic failure: no retry
   }
-  tasks_failed_.fetch_add(1, std::memory_order_relaxed);
-  metrics.GetCounter("engine.tasks_failed")->Increment();
+  ++counts.tasks_failed;
+  AddCounters(counts);
   journal.Event("task_failed")
       .Str("job", cfg_.job_id)
       .Str("task", task)
@@ -505,24 +510,23 @@ Status JobRunner::MapAttempt(int split_index, int attempt) {
                              PartFile::Create(PartPath('m', split_index)));
   }
 
-  uint64_t records = 0, output_records = 0, output_bytes = 0,
-           output_filtered = 0, logs = 0, native_bailouts = 0;
+  JobCounters counts;
   const int num_partitions = cfg_.num_partitions;
   std::string key_scratch, value_scratch;
   auto emit_pair = [&](const Value& k, const Value& v) -> Status {
     // Appendix E: delete pairs the reduce provably discards.
     if (descriptor_.reduce_key_filter.has_value() &&
         ReduceDiscards(*descriptor_.reduce_key_filter, k)) {
-      ++output_filtered;
+      ++counts.map_output_filtered;
       return Status::OK();
     }
-    ++output_records;
+    ++counts.map_output_records;
     if (has_reduce_) {
       key_scratch.clear();
       MANIMAL_RETURN_IF_ERROR(EncodeOrderedKey(k, &key_scratch));
       value_scratch.clear();
       MANIMAL_RETURN_IF_ERROR(EncodeValue(v, &value_scratch));
-      output_bytes += key_scratch.size() + value_scratch.size();
+      counts.map_output_bytes += key_scratch.size() + value_scratch.size();
       int p = static_cast<int>(k.Hash() % num_partitions);
       // Lock-free: this attempt's private partition buffer.
       return mapper->Add(p, key_scratch, value_scratch);
@@ -532,7 +536,7 @@ Status JobRunner::MapAttempt(int split_index, int attempt) {
     const size_t before = buf->size();
     MANIMAL_RETURN_IF_ERROR(EncodeValue(k, buf));
     MANIMAL_RETURN_IF_ERROR(EncodeValue(v, buf));
-    output_bytes += buf->size() - before;
+    counts.map_output_bytes += buf->size() - before;
     return part->PairAdded();
   };
 
@@ -545,7 +549,7 @@ Status JobRunner::MapAttempt(int split_index, int attempt) {
   auto ensure_vm = [&]() -> mril::VmInstance* {
     if (vm == nullptr) {
       vm = std::make_unique<mril::VmInstance>(&program_, vm_options);
-      vm->set_log_sink([&logs](const Value&) { ++logs; });
+      vm->set_log_sink([&counts](const Value&) { ++counts.log_messages; });
       vm->set_emit_sink(emit_pair);
     }
     return vm.get();
@@ -553,7 +557,9 @@ Status JobRunner::MapAttempt(int split_index, int attempt) {
   const bool use_native = kernel_ != nullptr;
   if (!use_native) ensure_vm();
   codegen::KernelScratch kernel_scratch;
-  uint64_t kernel_handled = 0;
+  // Per-record tallies stay in locals, which keep to registers: the
+  // emit and log sinks capture `counts`, so its fields live in memory.
+  uint64_t kernel_handled = 0, records = 0;
 
   // EXPLAIN ANALYZE observation: evaluate the selection's index-key
   // expression per scanned record and tally which predicate intervals
@@ -592,7 +598,7 @@ Status JobRunner::MapAttempt(int split_index, int attempt) {
           kernel_->Run(Value::I64(key), value, &kernel_scratch,
                        &out_key, &out_value);
       if (outcome == codegen::KernelOutcome::kBailout) {
-        ++native_bailouts;
+        ++counts.native_bailout_records;
         MANIMAL_RETURN_IF_ERROR(
             ensure_vm()->InvokeMap(Value::I64(key), value));
       } else {
@@ -611,35 +617,24 @@ Status JobRunner::MapAttempt(int split_index, int attempt) {
   // partitions in one locked step (no IO), or the part file seals and
   // renames into place.
   MANIMAL_RETURN_IF_ERROR(has_reduce_ ? mapper->Seal() : part->Commit());
-  input_records_.fetch_add(records, std::memory_order_relaxed);
-  input_bytes_.fetch_add(split->bytes_read(), std::memory_order_relaxed);
-  bytes_decoded_.fetch_add(split->bytes_decoded(),
-                           std::memory_order_relaxed);
-  blocks_skipped_.fetch_add(split->blocks_skipped(),
-                            std::memory_order_relaxed);
-  map_invocations_.fetch_add(
+  counts.input_records = records;
+  counts.input_bytes = split->bytes_read();
+  counts.bytes_decoded = split->bytes_decoded();
+  counts.blocks_skipped = split->blocks_skipped();
+  counts.map_invocations =
       kernel_handled +
-          (vm != nullptr ? static_cast<uint64_t>(vm->map_invocations()) : 0),
-      std::memory_order_relaxed);
-  map_output_records_.fetch_add(output_records, std::memory_order_relaxed);
-  map_output_bytes_.fetch_add(output_bytes, std::memory_order_relaxed);
-  map_output_filtered_.fetch_add(output_filtered,
-                                 std::memory_order_relaxed);
-  log_messages_.fetch_add(logs, std::memory_order_relaxed);
-  if (use_native) {
-    native_tasks_.fetch_add(1, std::memory_order_relaxed);
-    native_bailouts_.fetch_add(native_bailouts, std::memory_order_relaxed);
-    obs::MetricsRegistry::Get().GetCounter("engine.native_tasks")->Increment();
-  }
+      (vm != nullptr ? static_cast<uint64_t>(vm->map_invocations()) : 0);
+  counts.native_tasks = use_native ? 1 : 0;
+  AddCounters(counts);
   if (cfg_.collect_task_stats) {
     TaskStat stat;
     stat.kind = 'm';
     stat.index = split_index;
     stat.attempt = attempt;
-    stat.records_in = records;
-    stat.records_out = output_records;
-    stat.bytes_read = split->bytes_read();
-    stat.bytes_written = output_bytes;
+    stat.records_in = counts.input_records;
+    stat.records_out = counts.map_output_records;
+    stat.bytes_read = counts.input_bytes;
+    stat.bytes_written = counts.map_output_bytes;
     stat.vm_instructions =
         vm != nullptr ? static_cast<uint64_t>(vm->total_steps()) : 0;
     stat.seconds = seconds;
@@ -666,13 +661,15 @@ Status JobRunner::ReduceAttempt(int partition, int attempt) {
 
   // The VM: the sole reduce executor on the vm backend, the whole-
   // group replayer behind a native fold (created on first use).
-  uint64_t num_groups = 0, logs = 0, folded = 0, replayed = 0;
+  // Per-group tallies stay in locals, as in MapAttempt.
+  JobCounters counts;
+  uint64_t num_groups = 0, folded = 0;
   std::unique_ptr<mril::VmInstance> vm;
   auto ensure_vm = [&]() -> mril::VmInstance* {
     if (vm == nullptr) {
       vm = std::make_unique<mril::VmInstance>(&program_,
                                               reduce_vm_options_);
-      vm->set_log_sink([&logs](const Value&) { ++logs; });
+      vm->set_log_sink([&counts](const Value&) { ++counts.log_messages; });
       vm->set_emit_sink(emit);
     }
     return vm.get();
@@ -704,23 +701,21 @@ Status JobRunner::ReduceAttempt(int partition, int attempt) {
         MANIMAL_RETURN_IF_ERROR(emit(out_key, out_value));
         continue;
       }
-      ++replayed;
+      ++counts.reduce_bailout_groups;
     }
     MANIMAL_RETURN_IF_ERROR(ensure_vm()->InvokeReduce(key, values));
   }
   const double seconds = attempt_watch.ElapsedSeconds();
   MANIMAL_RETURN_IF_ERROR(part->Commit());
-  // Each task writes only its own slot; read after the phase barrier.
-  partition_groups_[partition] = num_groups;
-  log_messages_.fetch_add(logs, std::memory_order_relaxed);
-  native_reduce_groups_.fetch_add(folded, std::memory_order_relaxed);
-  reduce_bailout_groups_.fetch_add(replayed, std::memory_order_relaxed);
+  counts.reduce_groups = num_groups;
+  counts.native_reduce_groups = folded;
+  AddCounters(counts);
   if (cfg_.collect_task_stats) {
     TaskStat stat;
     stat.kind = 'r';
     stat.index = partition;
     stat.attempt = attempt;
-    stat.records_in = num_groups;
+    stat.records_in = counts.reduce_groups;
     stat.records_out = part->num_pairs();
     stat.bytes_written = part->payload_bytes();
     stat.vm_instructions =
@@ -844,7 +839,7 @@ Status JobRunner::Prepare() {
     MANIMAL_ASSIGN_OR_RETURN(
         plan_, PlanInput(descriptor_, cfg_.map_parallelism * 3));
   }
-  result_.counters.input_file_bytes = plan_->total_input_bytes();
+  counters_.input_file_bytes = plan_->total_input_bytes();
 
   // Self-describing projected inputs carry their own remap.
   field_remap_ = descriptor_.field_remap.empty()
@@ -914,13 +909,6 @@ Status JobRunner::Prepare() {
 
 Result<JobResult> JobRunner::Run() {
   obs::MetricsRegistry::Get().GetCounter("exec.jobs")->Increment();
-  // Pre-register the fault-handling counters so they are visible in
-  // DumpMetricsJson() even for an entirely fault-free process.
-  obs::MetricsRegistry::Get().GetCounter("engine.task_retries");
-  obs::MetricsRegistry::Get().GetCounter("engine.tasks_failed");
-  obs::MetricsRegistry::Get().GetCounter("engine.native_tasks");
-  obs::MetricsRegistry::Get().GetCounter("engine.bytes_decoded");
-  obs::MetricsRegistry::Get().GetCounter("engine.blocks_skipped");
   obs::ScopedSpan job_span("job.run", "exec");
   job_span.AddArg("job", cfg_.job_id);
   job_span.AddArg("access_path", AccessPathName(descriptor_.access_path));
@@ -936,7 +924,7 @@ Result<JobResult> JobRunner::Run() {
       .Str("access_path", AccessPathName(descriptor_.access_path))
       .Int("splits", plan_->num_splits())
       .Int("partitions", has_reduce_ ? cfg_.num_partitions : 0)
-      .Uint("input_file_bytes", result_.counters.input_file_bytes)
+      .Uint("input_file_bytes", counters_.input_file_bytes)
       .Bool("observe_predicates", observe_)
       .Emit();
 
@@ -949,55 +937,29 @@ Result<JobResult> JobRunner::Run() {
 
   // ---------------- reduce / output phase ----------------
   Stopwatch reduce_watch;
-  uint64_t reduce_groups_total = 0;
   if (has_reduce_) {
-    partition_groups_.assign(cfg_.num_partitions, 0);
     MANIMAL_RETURN_IF_ERROR(RunPhase('r', cfg_.num_partitions));
-    for (uint64_t groups : partition_groups_) {
-      reduce_groups_total += groups;
-    }
     const Shuffle::Stats shuffle_stats = shuffle_->stats();
-    result_.counters.shuffle_spilled_runs = shuffle_stats.spilled_runs;
-    result_.counters.shuffle_spilled_bytes = shuffle_stats.spilled_bytes;
+    counters_.shuffle_spilled_runs = shuffle_stats.spilled_runs;
+    counters_.shuffle_spilled_bytes = shuffle_stats.spilled_bytes;
     MANIMAL_RETURN_IF_ERROR(AssembleOutput('r', cfg_.num_partitions));
   } else {
     MANIMAL_RETURN_IF_ERROR(AssembleOutput('m', plan_->num_splits()));
   }
 
-  result_.counters.output_records = out_->num_outputs();
-  MANIMAL_ASSIGN_OR_RETURN(result_.counters.output_bytes, out_->Finish());
+  counters_.output_records = out_->num_outputs();
+  MANIMAL_ASSIGN_OR_RETURN(counters_.output_bytes, out_->Finish());
   obs::Journal::Get()
       .Event("output_commit")
       .Str("job", cfg_.job_id)
       .Str("path", cfg_.output_path)
-      .Uint("records", result_.counters.output_records)
-      .Uint("bytes", result_.counters.output_bytes)
+      .Uint("records", counters_.output_records)
+      .Uint("bytes", counters_.output_bytes)
       .Emit();
   result_.reduce_seconds = reduce_watch.ElapsedSeconds();
   result_.phase_breakdown["reduce"].seconds = result_.reduce_seconds;
 
-  result_.counters.input_records = input_records_.load();
-  result_.counters.input_bytes = input_bytes_.load();
-  result_.counters.map_invocations = map_invocations_.load();
-  result_.counters.map_output_records = map_output_records_.load();
-  result_.counters.map_output_bytes = map_output_bytes_.load();
-  result_.counters.map_output_filtered = map_output_filtered_.load();
-  result_.counters.log_messages = log_messages_.load();
-  result_.counters.reduce_groups = reduce_groups_total;
-  result_.counters.task_retries = task_retries_.load();
-  result_.counters.tasks_failed = tasks_failed_.load();
-  result_.counters.native_tasks = native_tasks_.load();
-  result_.counters.native_bailout_records = native_bailouts_.load();
-  result_.counters.native_reduce_groups = native_reduce_groups_.load();
-  result_.counters.reduce_bailout_groups = reduce_bailout_groups_.load();
-  result_.counters.bytes_decoded = bytes_decoded_.load();
-  result_.counters.blocks_skipped = blocks_skipped_.load();
-  obs::MetricsRegistry::Get()
-      .GetCounter("engine.bytes_decoded")
-      ->Add(result_.counters.bytes_decoded);
-  obs::MetricsRegistry::Get()
-      .GetCounter("engine.blocks_skipped")
-      ->Add(result_.counters.blocks_skipped);
+  result_.counters = counters_;
   result_.backend = map_backend_name_;
   result_.backend_detail = backend_detail_;
   if (has_reduce_) {
@@ -1037,17 +999,12 @@ Result<JobResult> JobRunner::Run() {
       result_.predicate_stats.push_back(std::move(ps));
     }
   }
-  obs::Journal::Get()
-      .Event("job_finish")
-      .Str("job", cfg_.job_id)
-      .Uint("input_records", result_.counters.input_records)
-      .Uint("output_records", result_.counters.output_records)
-      .Uint("task_retries", result_.counters.task_retries)
-      .Uint("shuffle_spilled_runs",
-            result_.counters.shuffle_spilled_runs)
-      .Uint("bytes_decoded", result_.counters.bytes_decoded)
-      .Uint("blocks_skipped", result_.counters.blocks_skipped)
-      .Time("wall_seconds", result_.wall_seconds)
+  obs::JournalEvent finish = obs::Journal::Get().Event("job_finish");
+  finish.Str("job", cfg_.job_id);
+  result_.counters.ForEach([&finish](const char* name, uint64_t value) {
+    finish.Uint(name, value);
+  });
+  finish.Time("wall_seconds", result_.wall_seconds)
       .Time("reported_seconds", result_.reported_seconds)
       .Emit();
   // Rewrite the cumulative trace after every job so MANIMAL_TRACE
@@ -1056,6 +1013,23 @@ Result<JobResult> JobRunner::Run() {
     obs::Tracer::Get().WriteIfConfigured();
   }
   return std::move(result_);
+}
+
+// Adds a job's counters to the engine.<name> registry counters, which
+// are looked up once per process.
+void PublishCounters(const JobCounters& counters) {
+  static const std::vector<obs::Counter*> registry = [] {
+    std::vector<obs::Counter*> found;
+    JobCounters().ForEach([&found](const char* name, uint64_t) {
+      found.push_back(obs::MetricsRegistry::Get().GetCounter(
+          std::string("engine.") + name));
+    });
+    return found;
+  }();
+  size_t row = 0;
+  counters.ForEach([&row](const char*, uint64_t value) {
+    registry[row++]->Add(static_cast<int64_t>(value));
+  });
 }
 
 // Clean job abort: remove the in-progress output and any task part
@@ -1092,6 +1066,7 @@ Result<JobResult> RunJob(const ExecutionDescriptor& descriptor,
 
   JobRunner runner(descriptor, cfg);
   Result<JobResult> result = runner.Run();
+  PublishCounters(runner.counters());
   if (!result.ok()) {
     obs::Journal::Get()
         .Event("job_failed")

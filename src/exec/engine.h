@@ -112,43 +112,55 @@ struct JobConfig {
   Backend backend = Backend::kAuto;
 };
 
+// Every job counter, declared once. JobCounters' fields, operator+=
+// and ForEach are generated from this table, and every surface carries
+// every row, in table order, under its field name (docs/observability.md
+// "Job counters", whose table a test keeps equal to this one).
+#define MANIMAL_JOB_COUNTERS(X)                                               \
+  X(input_records)          /* records map tasks scanned */                   \
+  X(input_bytes)            /* bytes actually read by map tasks */            \
+  X(input_file_bytes)       /* size of the (indexed) input file */            \
+  X(bytes_decoded)          /* uncompressed input bytes materialized */       \
+  X(blocks_skipped)         /* blocks direct evaluation never read */         \
+  X(map_invocations)        /* records the map function ran on */             \
+  X(map_output_records)     /* pairs map tasks emitted */                     \
+  X(map_output_bytes)       /* encoded bytes of those pairs */                \
+  X(map_output_filtered)    /* pairs the App. E reduce-key filter deleted */  \
+  X(reduce_groups)          /* key groups reduce tasks consumed */            \
+  X(output_records)         /* pairs (or records) in the job output */        \
+  X(output_bytes)           /* bytes of the committed job output */           \
+  X(log_messages)           /* log() calls of map and reduce */               \
+  X(shuffle_spilled_runs)   /* sorted runs mappers spilled to disk */         \
+  X(shuffle_spilled_bytes)  /* bytes of those runs */                         \
+  X(task_retries)           /* attempts beyond each task's first */           \
+  X(tasks_failed)           /* tasks that failed: retries spent or non-IO */  \
+  X(native_tasks)           /* map tasks committed on the native kernel */    \
+  X(native_bailout_records) /* records those replayed through the VM */       \
+  X(native_reduce_groups)   /* groups reduce tasks folded natively */         \
+  X(reduce_bailout_groups)  /* groups they replayed whole through the VM */
+
 struct JobCounters {
-  uint64_t input_records = 0;
-  uint64_t input_bytes = 0;       // bytes actually read by map tasks
-  uint64_t input_file_bytes = 0;  // size of the (indexed) input file
-  // Uncompressed input bytes map tasks materialized (== input_bytes
-  // for uncompressed inputs; smaller when direct evaluation skipped
-  // blocks, larger when compressed blocks expanded).
-  uint64_t bytes_decoded = 0;
-  // Blocks proven row-free by direct evaluation and never read.
-  uint64_t blocks_skipped = 0;
-  uint64_t map_invocations = 0;
-  uint64_t map_output_records = 0;
-  uint64_t map_output_bytes = 0;
-  // Pairs deleted pre-shuffle by the reduce-side key filter (App. E).
-  uint64_t map_output_filtered = 0;
-  uint64_t reduce_groups = 0;
-  uint64_t output_records = 0;
-  uint64_t output_bytes = 0;
-  uint64_t log_messages = 0;
-  uint64_t shuffle_spilled_runs = 0;
-  uint64_t shuffle_spilled_bytes = 0;
-  // Fault handling: attempts beyond each task's first, and tasks that
-  // exhausted their retry budget (also published as the
-  // engine.task_retries / engine.tasks_failed counters).
-  uint64_t task_retries = 0;
-  // Always 0; its only reader is perfbench's exec.speculative_frac.
+#define MANIMAL_JOB_COUNTER_FIELD(name) uint64_t name = 0;
+  MANIMAL_JOB_COUNTERS(MANIMAL_JOB_COUNTER_FIELD)
+#undef MANIMAL_JOB_COUNTER_FIELD
+  // Always 0, and outside the table, so no surface carries it; its
+  // only reader is perfbench's exec.speculative_frac.
   uint64_t speculative_launches = 0;
-  uint64_t tasks_failed = 0;
-  // Native tier: committed map tasks that ran the compiled kernel
-  // (also the engine.native_tasks counter), and records those tasks
-  // replayed through the VM because the kernel bailed out.
-  uint64_t native_tasks = 0;
-  uint64_t native_bailout_records = 0;
-  // Reduce folds: groups committed reduce tasks folded natively, and
-  // groups they replayed whole through the VM after a bailout.
-  uint64_t native_reduce_groups = 0;
-  uint64_t reduce_bailout_groups = 0;
+
+  JobCounters& operator+=(const JobCounters& other) {
+#define MANIMAL_JOB_COUNTER_ADD(name) name += other.name;
+    MANIMAL_JOB_COUNTERS(MANIMAL_JOB_COUNTER_ADD)
+#undef MANIMAL_JOB_COUNTER_ADD
+    return *this;
+  }
+
+  // Calls fn(const char* name, uint64_t value) per row, in table order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+#define MANIMAL_JOB_COUNTER_VISIT(name) fn(#name, name);
+    MANIMAL_JOB_COUNTERS(MANIMAL_JOB_COUNTER_VISIT)
+#undef MANIMAL_JOB_COUNTER_VISIT
+  }
 };
 
 // One named phase of a job's wall time, with the bytes that phase

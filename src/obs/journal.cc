@@ -126,8 +126,16 @@ void Journal::Write(const char* type, const std::string& fields) {
     line += fields;
   }
   line += "}\n";
-  std::fwrite(line.data(), 1, line.size(), file_);
-  std::fflush(file_);
+  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
+      std::fflush(file_) != 0) {
+    // Journal IO must never fail a job: close the file, forget the
+    // path and drop this and every later event.
+    std::fclose(file_);
+    file_ = nullptr;
+    path_.clear();
+    enabled_.store(false, std::memory_order_relaxed);
+    return;
+  }
   events_written_.fetch_add(1, std::memory_order_relaxed);
   MetricsRegistry::Get().GetCounter("obs.journal_events")->Increment();
 }

@@ -58,11 +58,11 @@ const std::vector<std::pair<std::string, double>>* FindIntervalEstimates(
 }
 
 std::vector<DriftRow> BuildDrift(const PlanExplain& plan,
-                                 const exec::JobResult& result) {
+                                 const exec::JobResult& result,
+                                 uint64_t rows_scanned) {
   std::vector<DriftRow> drift;
   const auto* estimates = FindIntervalEstimates(plan);
-  const double scanned =
-      static_cast<double>(result.counters.map_invocations);
+  const double scanned = static_cast<double>(rows_scanned);
   auto observed_for = [&](const std::string& predicate) -> double {
     if (!result.predicates_observed || scanned <= 0) return -1;
     for (const exec::PredicateStat& ps : result.predicate_stats) {
@@ -156,7 +156,7 @@ ExplainReport MakeExplainReport(const Plan& plan,
         static_cast<double>(report.rows_scanned);
   }
   report.predicates_observed = result.predicates_observed;
-  report.drift = BuildDrift(report.plan, result);
+  report.drift = BuildDrift(report.plan, result, report.rows_scanned);
   for (const auto& [name, stat] : result.phase_breakdown) {
     report.phases.emplace_back(name, stat);
   }
@@ -247,11 +247,6 @@ std::string ExplainReport::ToText() const {
   if (!backend.empty()) {
     out += "  backend: " + backend;
     if (!backend_detail.empty()) out += " (" + backend_detail + ")";
-    out += StrPrintf(" native_tasks=%llu bailout_records=%llu",
-                     static_cast<unsigned long long>(
-                         counters.native_tasks),
-                     static_cast<unsigned long long>(
-                         counters.native_bailout_records));
     out += "\n";
   }
   if (!reduce_backend.empty()) {
@@ -259,11 +254,7 @@ std::string ExplainReport::ToText() const {
     if (!reduce_backend_detail.empty()) {
       out += " (" + reduce_backend_detail + ")";
     }
-    out += StrPrintf(" native_reduce_groups=%llu bailout_groups=%llu\n",
-                     static_cast<unsigned long long>(
-                         counters.native_reduce_groups),
-                     static_cast<unsigned long long>(
-                         counters.reduce_bailout_groups));
+    out += "\n";
   }
   out += StrPrintf("  time: wall=%.3fs reported=%.3fs\n", wall_seconds,
                    reported_seconds);
@@ -275,21 +266,12 @@ std::string ExplainReport::ToText() const {
     }
     out += "\n";
   }
-  out += StrPrintf(
-      "  counters: input_records=%llu input_bytes=%llu "
-      "map_output_records=%llu spilled_runs=%llu retries=%llu\n",
-      static_cast<unsigned long long>(counters.input_records),
-      static_cast<unsigned long long>(counters.input_bytes),
-      static_cast<unsigned long long>(counters.map_output_records),
-      static_cast<unsigned long long>(counters.shuffle_spilled_runs),
-      static_cast<unsigned long long>(counters.task_retries));
-  if (counters.bytes_decoded != counters.input_bytes ||
-      counters.blocks_skipped > 0) {
-    out += StrPrintf(
-        "  direct: bytes_decoded=%llu blocks_skipped=%llu\n",
-        static_cast<unsigned long long>(counters.bytes_decoded),
-        static_cast<unsigned long long>(counters.blocks_skipped));
-  }
+  out += "  counters:";
+  counters.ForEach([&out](const char* name, uint64_t value) {
+    out += StrPrintf(" %s=%llu", name,
+                     static_cast<unsigned long long>(value));
+  });
+  out += "\n";
   if (!tasks.empty()) {
     out += StrPrintf("  tasks (%zu committed attempts):\n",
                      tasks.size());
@@ -436,28 +418,11 @@ std::string ExplainReport::ToJson() const {
              "}";
     }
     out += "},\"counters\":{";
-    out += "\"input_records\":" +
-           std::to_string(counters.input_records);
-    out += ",\"input_bytes\":" + std::to_string(counters.input_bytes);
-    out += ",\"map_output_records\":" +
-           std::to_string(counters.map_output_records);
-    out += ",\"map_output_filtered\":" +
-           std::to_string(counters.map_output_filtered);
-    out += ",\"output_records\":" +
-           std::to_string(counters.output_records);
-    out += ",\"shuffle_spilled_runs\":" +
-           std::to_string(counters.shuffle_spilled_runs);
-    out += ",\"task_retries\":" + std::to_string(counters.task_retries);
-    out += ",\"native_tasks\":" + std::to_string(counters.native_tasks);
-    out += ",\"native_bailout_records\":" +
-           std::to_string(counters.native_bailout_records);
-    out += ",\"native_reduce_groups\":" +
-           std::to_string(counters.native_reduce_groups);
-    out += ",\"reduce_bailout_groups\":" +
-           std::to_string(counters.reduce_bailout_groups);
-    out += ",\"bytes_decoded\":" + std::to_string(counters.bytes_decoded);
-    out += ",\"blocks_skipped\":" +
-           std::to_string(counters.blocks_skipped);
+    const char* separator = "";
+    counters.ForEach([&](const char* name, uint64_t value) {
+      out += separator + JsonQuote(name) + ":" + std::to_string(value);
+      separator = ",";
+    });
     out += "},\"tasks\":[";
     for (size_t i = 0; i < tasks.size(); ++i) {
       const exec::TaskStat& t = tasks[i];

@@ -742,6 +742,9 @@ TEST_F(EngineFaultTest, RateInjectionIsMaskedAndCounted) {
 
 TEST_F(EngineFaultTest, ExhaustedRetryBudgetFailsTheJobCleanly) {
   mril::Program program = workloads::SelectionCountQuery(50);
+  auto& metrics = obs::MetricsRegistry::Get();
+  const int64_t retries_before = metrics.CounterValue("engine.task_retries");
+  const int64_t failed_before = metrics.CounterValue("engine.tasks_failed");
   FaultyEnv::Config fault;
   fault.rate = 1.0;  // every armed operation fails
   ScopedFaultInjection inject(fault);
@@ -750,6 +753,9 @@ TEST_F(EngineFaultTest, ExhaustedRetryBudgetFailsTheJobCleanly) {
   auto result = RunJob(Baseline(program), config);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsIOError()) << result.status().ToString();
+  // A failed job still publishes its retries and its failed tasks.
+  EXPECT_GT(metrics.CounterValue("engine.task_retries"), retries_before);
+  EXPECT_GT(metrics.CounterValue("engine.tasks_failed"), failed_before);
   // Clean abort: no output, no in-progress file, no task parts.
   EXPECT_FALSE(FileExists(config.output_path));
   EXPECT_FALSE(FileExists(config.output_path + ".inprogress"));

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "common/strings.h"
 #include "core/manimal.h"
 #include "obs/json.h"
 #include "optimizer/explain.h"
@@ -252,9 +255,16 @@ TEST(ExplainTest, AnalyzeShowsTheReduceTier) {
   EXPECT_EQ(exec_json->StringOr("reduce_backend", ""), "native");
   const obs::JsonValue* counters = exec_json->Find("counters");
   ASSERT_NE(counters, nullptr);
-  EXPECT_EQ(counters->NumberOr("native_reduce_groups", -1),
-            static_cast<double>(ex.counters.native_reduce_groups));
   EXPECT_EQ(counters->NumberOr("reduce_bailout_groups", -1), 0);
+  // Both renderings carry every job counter under its name.
+  ex.counters.ForEach([&](const char* name, uint64_t value) {
+    EXPECT_EQ(counters->NumberOr(name, -1), static_cast<double>(value))
+        << name;
+    EXPECT_NE(text.find(StrPrintf(" %s=%llu", name,
+                                  static_cast<unsigned long long>(value))),
+              std::string::npos)
+        << name << " missing from:\n" << text;
+  });
 
   // A map-only job has no reduce tier to report.
   job.program = workloads::ProjectionQuery(50);
@@ -306,6 +316,31 @@ TEST(ExplainTest, AnalyzeJoinsEstimatesIntoDrift) {
   }
   EXPECT_TRUE(any_estimated)
       << "no drift row carried a B+Tree estimate:\n" << ex.ToText();
+}
+
+// docs/observability.md's "Job counters" table names every row of
+// MANIMAL_JOB_COUNTERS, in table order, and nothing else.
+TEST(CounterTableTest, DocsListEveryCounter) {
+  ASSERT_OK_AND_ASSIGN(
+      std::string doc,
+      ReadFileToString(std::string(MANIMAL_DOCS_DIR) + "/observability.md"));
+  const size_t section = doc.find("\n## Job counters\n");
+  ASSERT_NE(section, std::string::npos) << "no Job counters section";
+  // The section's first run of rows that open with a `name` cell.
+  std::vector<std::string> documented;
+  std::istringstream lines(doc.substr(section));
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("| `", 0) == 0) {
+      documented.push_back(line.substr(3, line.find('`', 3) - 3));
+    } else if (!documented.empty()) {
+      break;
+    }
+  }
+  std::vector<std::string> declared;
+  exec::JobCounters().ForEach(
+      [&declared](const char* name, uint64_t) { declared.push_back(name); });
+  EXPECT_EQ(documented, declared);
 }
 
 }  // namespace

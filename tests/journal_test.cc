@@ -12,6 +12,7 @@
 #include "core/manimal.h"
 #include "obs/journal.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 #include "workloads/datagen.h"
 #include "workloads/pavlo.h"
@@ -143,6 +144,25 @@ TEST(JournalTest, TaskEventsShareJobAndTaskIds) {
       EXPECT_TRUE(task[0] == 'm' || task[0] == 'r') << line;
     }
   }
+}
+
+// A journal whose writes fail (every flush to /dev/full fails with
+// ENOSPC) disables itself: nothing more is written or counted.
+TEST(JournalTest, WriteFailureDisablesJournal) {
+  if (!FileExists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const int64_t metric_before =
+      MetricsRegistry::Get().CounterValue("obs.journal_events");
+  Journal::Get().ResetForTest();
+  Journal::Get().SetOutputPathForTest("/dev/full");
+  EXPECT_TRUE(Journal::Get().enabled());
+  for (int i = 0; i < 3; ++i) {
+    Journal::Get().Event("test_event").Int("n", i).Emit();
+  }
+  EXPECT_FALSE(Journal::Get().enabled());
+  EXPECT_EQ(Journal::Get().events_written(), 0u);
+  EXPECT_EQ(MetricsRegistry::Get().CounterValue("obs.journal_events"),
+            metric_before);
+  Journal::Get().ResetForTest();
 }
 
 // The byte-exact contract: a fixed-seed single-threaded run must

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/env.h"
+#include "exec/engine.h"
 #include "obs/journal.h"
 #include "obs/json.h"
 #include "optimizer/explain.h"
@@ -62,7 +63,24 @@ bool HasKeys(const JsonValue& obj, const std::vector<const char*>& keys,
   return true;
 }
 
+// Every job counter's name, in table order (exec/engine.h).
+std::vector<const char*> JobCounterNames() {
+  std::vector<const char*> names;
+  manimal::exec::JobCounters().ForEach(
+      [&names](const char* name, uint64_t) { names.push_back(name); });
+  return names;
+}
+
 // ---- journal ----
+
+// job_finish carries the job id, every job counter and the two times.
+std::vector<const char*> JobFinishFields() {
+  std::vector<const char*> fields = {"job"};
+  for (const char* name : JobCounterNames()) fields.push_back(name);
+  fields.push_back("wall_seconds");
+  fields.push_back("reported_seconds");
+  return fields;
+}
 
 // Required fields per event type (beyond the envelope v/seq/ts_us).
 const std::map<std::string, std::vector<const char*>>& JournalSchema() {
@@ -84,10 +102,7 @@ const std::map<std::string, std::vector<const char*>>& JournalSchema() {
       {"direct_eval",
        {"job", "admitted", "blocks_total", "blocks_refuted", "detail"}},
       {"output_commit", {"job", "path", "records", "bytes"}},
-      {"job_finish",
-       {"job", "input_records", "output_records", "task_retries",
-        "shuffle_spilled_runs", "bytes_decoded", "blocks_skipped",
-        "wall_seconds", "reported_seconds"}},
+      {"job_finish", JobFinishFields()},
       {"job_failed", {"job", "error"}},
   };
   return schema;
@@ -276,8 +291,8 @@ void CheckExplain(const std::string& path) {
           Fail(path, i + 1, "exec missing '" + missing + "'");
         }
         // The resolved map and reduce backends are "vm" or "native"
-        // when reported, and the counters object always carries the
-        // native-tier counters of both phases (zero for pure-VM runs).
+        // when reported, and the counters object carries every job
+        // counter.
         for (const char* key : {"backend", "reduce_backend"}) {
           if (exec->Find(key) == nullptr) continue;
           const std::string name = exec->StringOr(key, "");
@@ -288,10 +303,7 @@ void CheckExplain(const std::string& path) {
         }
         const JsonValue* counters = exec->Find("counters");
         if (counters != nullptr && counters->is_object() &&
-            !HasKeys(*counters,
-                     {"native_tasks", "native_bailout_records",
-                      "native_reduce_groups", "reduce_bailout_groups"},
-                     &missing)) {
+            !HasKeys(*counters, JobCounterNames(), &missing)) {
           Fail(path, i + 1, "exec counters missing '" + missing + "'");
         }
       }
