@@ -111,10 +111,9 @@ int main() {
     RowResult r;
     r.name = row.name;
 
-    // One re-encoded (non-B+Tree) artifact per row, built under the
-    // default MANIMAL_CODECS=auto policy so the selector picks the
-    // chain; B+Tree specs are excluded because block skipping rides
-    // the seqscan path.
+    // One re-encoded (non-B+Tree) artifact per row, mlz-compressed;
+    // B+Tree specs are excluded because block skipping rides the
+    // seqscan path.
     auto report =
         bench::CheckOk(analyzer::Analyze(row.program), "analyze");
     auto specs =

@@ -1,9 +1,9 @@
 #include "columnar/codec/codec.h"
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstring>
-#include <map>
-#include <mutex>
 
 #include "common/coding.h"
 #include "common/strings.h"
@@ -17,92 +17,14 @@ namespace {
 // into an allocation bomb.
 constexpr size_t kMaxDecodedBlockBytes = 1u << 30;
 
-// ---------------- none ----------------
-
-class NoneCodec : public ICompressionCodec {
- public:
-  uint8_t method_byte() const override { return kCodecMethodNone; }
-  const char* name() const override { return "none"; }
-  void Compress(std::string_view in, std::string* out) const override {
-    out->append(in.data(), in.size());
-  }
-  Status Decompress(std::string_view in, std::string* out) const override {
-    out->append(in.data(), in.size());
-    return Status::OK();
-  }
-};
-
-// ---------------- rle ----------------
-//
-// Byte-level run-length encoding with literal runs, so incompressible
-// input grows by at most 1/128:
-//   token < 0x80:  literal run of token+1 bytes follows
-//   token >= 0x80: the next byte repeats (token-0x80)+3 times
-// Runs shorter than 3 ride in literal runs (a repeat token would not
-// pay for itself).
-
-class RleCodec : public ICompressionCodec {
- public:
-  uint8_t method_byte() const override { return kCodecMethodRle; }
-  const char* name() const override { return "rle"; }
-
-  void Compress(std::string_view in, std::string* out) const override {
-    size_t i = 0;
-    size_t lit_start = 0;
-    auto flush_literals = [&](size_t end) {
-      size_t pos = lit_start;
-      while (pos < end) {
-        size_t n = std::min<size_t>(128, end - pos);
-        out->push_back(static_cast<char>(n - 1));
-        out->append(in.data() + pos, n);
-        pos += n;
-      }
-    };
-    while (i < in.size()) {
-      size_t run = 1;
-      while (i + run < in.size() && in[i + run] == in[i] && run < 130) {
-        ++run;
-      }
-      if (run >= 3) {
-        flush_literals(i);
-        out->push_back(static_cast<char>(0x80 + (run - 3)));
-        out->push_back(in[i]);
-        i += run;
-        lit_start = i;
-      } else {
-        i += run;
-      }
-    }
-    flush_literals(in.size());
-  }
-
-  Status Decompress(std::string_view in, std::string* out) const override {
-    while (!in.empty()) {
-      const uint8_t token = static_cast<uint8_t>(in[0]);
-      in.remove_prefix(1);
-      if (token < 0x80) {
-        const size_t n = static_cast<size_t>(token) + 1;
-        if (in.size() < n) return Status::Corruption("rle: short literal run");
-        out->append(in.data(), n);
-        in.remove_prefix(n);
-      } else {
-        if (in.empty()) return Status::Corruption("rle: short repeat run");
-        out->append(static_cast<size_t>(token - 0x80) + 3, in[0]);
-        in.remove_prefix(1);
-      }
-      if (out->size() > kMaxDecodedBlockBytes) {
-        return Status::Corruption("rle: output too large");
-      }
-    }
-    return Status::OK();
-  }
-};
+// The frame's constant tag bytes (codec.h).
+constexpr uint8_t kFrameTag0 = 0x01;
+constexpr uint8_t kFrameTag1 = 0x03;
 
 // ---------------- mlz ----------------
 //
-// A minimal greedy-match LZ77 with the LZ4 sequence shape (the
-// container bakes no compression library, so the LZ stage is
-// hand-rolled): each sequence is
+// A minimal greedy-match LZ77 with the LZ4 sequence shape: each
+// sequence is
 //   [token: literal_len<<4 | (match_len-4)] [len extensions: 255...]
 //   [literals] [u16le offset] [match len extensions]
 // A nibble of 15 extends with 255-saturated continuation bytes. The
@@ -144,246 +66,122 @@ Status MlzGetLen(std::string_view* in, size_t* len) {
   }
 }
 
-class MlzCodec : public ICompressionCodec {
- public:
-  uint8_t method_byte() const override { return kCodecMethodMlz; }
-  const char* name() const override { return "mlz"; }
-
-  void Compress(std::string_view in, std::string* out) const override {
-    const size_t n = in.size();
-    std::array<int32_t, 1u << kMlzHashBits> table;
-    table.fill(-1);
-    size_t anchor = 0;
-    size_t pos = 0;
-    auto emit = [&](size_t lit_end, size_t match_len, size_t offset) {
-      const size_t lit_len = lit_end - anchor;
-      const size_t match_code = match_len - 4;
-      uint8_t token =
-          static_cast<uint8_t>(std::min<size_t>(lit_len, 15) << 4);
-      token |= static_cast<uint8_t>(std::min<size_t>(match_code, 15));
-      out->push_back(static_cast<char>(token));
-      if (lit_len >= 15) MlzPutLen(lit_len - 15, out);
-      out->append(in.data() + anchor, lit_len);
-      out->push_back(static_cast<char>(offset & 0xFF));
-      out->push_back(static_cast<char>((offset >> 8) & 0xFF));
-      if (match_code >= 15) MlzPutLen(match_code - 15, out);
-    };
-    while (pos + 4 <= n) {
-      const uint32_t seq = MlzLoad32(in.data() + pos);
-      const uint32_t h = MlzHash(seq);
-      const int32_t cand = table[h];
-      table[h] = static_cast<int32_t>(pos);
-      if (cand >= 0 && pos - static_cast<size_t>(cand) <= kMlzWindow &&
-          MlzLoad32(in.data() + cand) == seq) {
-        size_t match_len = 4;
-        while (pos + match_len < n &&
-               in[cand + match_len] == in[pos + match_len]) {
-          ++match_len;
-        }
-        emit(pos, match_len, pos - static_cast<size_t>(cand));
-        pos += match_len;
-        anchor = pos;
-      } else {
-        ++pos;
+void MlzCompress(std::string_view in, std::string* out) {
+  const size_t n = in.size();
+  std::array<int32_t, 1u << kMlzHashBits> table;
+  table.fill(-1);
+  size_t anchor = 0;
+  size_t pos = 0;
+  auto emit = [&](size_t lit_end, size_t match_len, size_t offset) {
+    const size_t lit_len = lit_end - anchor;
+    const size_t match_code = match_len - 4;
+    uint8_t token =
+        static_cast<uint8_t>(std::min<size_t>(lit_len, 15) << 4);
+    token |= static_cast<uint8_t>(std::min<size_t>(match_code, 15));
+    out->push_back(static_cast<char>(token));
+    if (lit_len >= 15) MlzPutLen(lit_len - 15, out);
+    out->append(in.data() + anchor, lit_len);
+    out->push_back(static_cast<char>(offset & 0xFF));
+    out->push_back(static_cast<char>((offset >> 8) & 0xFF));
+    if (match_code >= 15) MlzPutLen(match_code - 15, out);
+  };
+  while (pos + 4 <= n) {
+    const uint32_t seq = MlzLoad32(in.data() + pos);
+    const uint32_t h = MlzHash(seq);
+    const int32_t cand = table[h];
+    table[h] = static_cast<int32_t>(pos);
+    if (cand >= 0 && pos - static_cast<size_t>(cand) <= kMlzWindow &&
+        MlzLoad32(in.data() + cand) == seq) {
+      size_t match_len = 4;
+      while (pos + match_len < n &&
+             in[cand + match_len] == in[pos + match_len]) {
+        ++match_len;
       }
-    }
-    // Trailing literals (possibly none): terminated by input
-    // exhaustion on the decode side.
-    const size_t lit_len = n - anchor;
-    if (lit_len > 0) {
-      uint8_t token =
-          static_cast<uint8_t>(std::min<size_t>(lit_len, 15) << 4);
-      out->push_back(static_cast<char>(token));
-      if (lit_len >= 15) MlzPutLen(lit_len - 15, out);
-      out->append(in.data() + anchor, lit_len);
+      emit(pos, match_len, pos - static_cast<size_t>(cand));
+      pos += match_len;
+      anchor = pos;
+    } else {
+      ++pos;
     }
   }
+  // Trailing literals (possibly none): terminated by input
+  // exhaustion on the decode side.
+  const size_t lit_len = n - anchor;
+  if (lit_len > 0) {
+    uint8_t token =
+        static_cast<uint8_t>(std::min<size_t>(lit_len, 15) << 4);
+    out->push_back(static_cast<char>(token));
+    if (lit_len >= 15) MlzPutLen(lit_len - 15, out);
+    out->append(in.data() + anchor, lit_len);
+  }
+}
 
-  Status Decompress(std::string_view in, std::string* out) const override {
-    while (!in.empty()) {
-      const uint8_t token = static_cast<uint8_t>(in[0]);
-      in.remove_prefix(1);
-      size_t lit_len = token >> 4;
-      if (lit_len == 15) {
-        MANIMAL_RETURN_IF_ERROR(MlzGetLen(&in, &lit_len));
-      }
-      if (in.size() < lit_len) {
-        return Status::Corruption("mlz: truncated literals");
-      }
-      out->append(in.data(), lit_len);
-      in.remove_prefix(lit_len);
-      if (in.empty()) break;  // final sequence ends in literals
-      if (in.size() < 2) return Status::Corruption("mlz: truncated offset");
-      const size_t offset = static_cast<uint8_t>(in[0]) |
-                            (static_cast<size_t>(
-                                 static_cast<uint8_t>(in[1]))
-                             << 8);
-      in.remove_prefix(2);
-      if (offset == 0 || offset > out->size()) {
-        return Status::Corruption("mlz: bad match offset");
-      }
-      size_t match_len = token & 0x0F;
-      if (match_len == 15) {
-        MANIMAL_RETURN_IF_ERROR(MlzGetLen(&in, &match_len));
-      }
-      match_len += 4;
-      if (out->size() + match_len > kMaxDecodedBlockBytes) {
-        return Status::Corruption("mlz: output too large");
-      }
-      // Byte-by-byte: matches may overlap their own output.
-      size_t src = out->size() - offset;
-      for (size_t i = 0; i < match_len; ++i) {
-        out->push_back((*out)[src + i]);
-      }
+Status MlzDecompress(std::string_view in, std::string* out) {
+  while (!in.empty()) {
+    const uint8_t token = static_cast<uint8_t>(in[0]);
+    in.remove_prefix(1);
+    size_t lit_len = token >> 4;
+    if (lit_len == 15) {
+      MANIMAL_RETURN_IF_ERROR(MlzGetLen(&in, &lit_len));
     }
-    return Status::OK();
-  }
-};
-
-}  // namespace
-
-// ---------------- registry ----------------
-
-struct CodecRegistry::Impl {
-  mutable std::mutex mu;
-  std::array<std::unique_ptr<ICompressionCodec>, 256> by_method;
-  std::map<std::string, uint8_t, std::less<>> by_name;
-};
-
-CodecRegistry::CodecRegistry() : impl_(new Impl()) {
-  Register(std::make_unique<NoneCodec>());
-  Register(std::make_unique<RleCodec>());
-  Register(std::make_unique<MlzCodec>());
-}
-
-CodecRegistry& CodecRegistry::Get() {
-  static CodecRegistry* registry = new CodecRegistry();
-  return *registry;
-}
-
-void CodecRegistry::Register(std::unique_ptr<ICompressionCodec> codec) {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  impl_->by_name[codec->name()] = codec->method_byte();
-  impl_->by_method[codec->method_byte()] = std::move(codec);
-}
-
-Result<const ICompressionCodec*> CodecRegistry::ByMethod(
-    uint8_t method) const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  const ICompressionCodec* codec = impl_->by_method[method].get();
-  if (codec == nullptr) {
-    return Status::Corruption(StrPrintf(
-        "block names unregistered codec method byte 0x%02x", method));
-  }
-  return codec;
-}
-
-Result<const ICompressionCodec*> CodecRegistry::ByName(
-    std::string_view name) const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  auto it = impl_->by_name.find(name);
-  if (it == impl_->by_name.end()) {
-    return Status::InvalidArgument("unknown codec: " + std::string(name));
-  }
-  return impl_->by_method[it->second].get();
-}
-
-// ---------------- chain ----------------
-
-Result<CodecChain> CodecChain::Parse(std::string_view spec) {
-  CodecChain chain;
-  if (spec.empty() || spec == "none") return chain;
-  size_t start = 0;
-  while (start <= spec.size()) {
-    size_t plus = spec.find('+', start);
-    if (plus == std::string_view::npos) plus = spec.size();
-    std::string_view part = spec.substr(start, plus - start);
-    if (part.empty()) {
-      return Status::InvalidArgument("empty codec in chain spec: " +
-                                     std::string(spec));
+    if (in.size() < lit_len) {
+      return Status::Corruption("mlz: truncated literals");
     }
-    if (part != "none") {
-      MANIMAL_ASSIGN_OR_RETURN(const ICompressionCodec* codec,
-                               CodecRegistry::Get().ByName(part));
-      chain.codecs_.push_back(codec);
+    out->append(in.data(), lit_len);
+    in.remove_prefix(lit_len);
+    if (in.empty()) break;  // final sequence ends in literals
+    if (in.size() < 2) return Status::Corruption("mlz: truncated offset");
+    const size_t offset = static_cast<uint8_t>(in[0]) |
+                          (static_cast<size_t>(
+                               static_cast<uint8_t>(in[1]))
+                           << 8);
+    in.remove_prefix(2);
+    if (offset == 0 || offset > out->size()) {
+      return Status::Corruption("mlz: bad match offset");
     }
-    if (plus == spec.size()) break;
-    start = plus + 1;
+    size_t match_len = token & 0x0F;
+    if (match_len == 15) {
+      MANIMAL_RETURN_IF_ERROR(MlzGetLen(&in, &match_len));
+    }
+    match_len += 4;
+    if (out->size() + match_len > kMaxDecodedBlockBytes) {
+      return Status::Corruption("mlz: output too large");
+    }
+    // Byte-by-byte: matches may overlap their own output.
+    size_t src = out->size() - offset;
+    for (size_t i = 0; i < match_len; ++i) {
+      out->push_back((*out)[src + i]);
+    }
   }
-  return chain;
-}
-
-std::string CodecChain::ToString() const {
-  std::string out;
-  for (const ICompressionCodec* codec : codecs_) {
-    if (!out.empty()) out += '+';
-    out += codec->name();
-  }
-  return out;
-}
-
-Status CodecChain::CompressBlock(std::string_view raw,
-                                 std::string* out) const {
-  out->push_back(static_cast<char>(codecs_.size()));
-  for (const ICompressionCodec* codec : codecs_) {
-    out->push_back(static_cast<char>(codec->method_byte()));
-  }
-  PutVarint64(out, raw.size());
-  if (codecs_.empty()) {
-    out->append(raw.data(), raw.size());
-    return Status::OK();
-  }
-  std::string stage(raw);
-  std::string next;
-  for (const ICompressionCodec* codec : codecs_) {
-    next.clear();
-    codec->Compress(stage, &next);
-    stage.swap(next);
-  }
-  out->append(stage);
   return Status::OK();
 }
 
-Status CodecChain::DecompressBlock(std::string_view framed,
-                                   std::string* raw,
-                                   std::string* chain_spec) {
-  if (framed.empty()) return Status::Corruption("block frame truncated");
-  const size_t chain_len = static_cast<uint8_t>(framed[0]);
-  framed.remove_prefix(1);
-  if (framed.size() < chain_len) {
-    return Status::Corruption("block frame truncated");
+}  // namespace
+
+void CompressBlock(std::string_view raw, std::string* out) {
+  out->push_back(static_cast<char>(kFrameTag0));
+  out->push_back(static_cast<char>(kFrameTag1));
+  PutVarint64(out, raw.size());
+  MlzCompress(raw, out);
+}
+
+Status DecompressBlock(std::string_view framed, std::string* raw) {
+  if (framed.size() < 2) return Status::Corruption("block frame truncated");
+  const uint8_t tag0 = static_cast<uint8_t>(framed[0]);
+  const uint8_t tag1 = static_cast<uint8_t>(framed[1]);
+  if (tag0 != kFrameTag0 || tag1 != kFrameTag1) {
+    return Status::Corruption(StrPrintf(
+        "block frame names an unknown codec: tag 0x%02x 0x%02x", tag0,
+        tag1));
   }
-  std::vector<const ICompressionCodec*> codecs;
-  codecs.reserve(chain_len);
-  std::string spec;
-  for (size_t i = 0; i < chain_len; ++i) {
-    MANIMAL_ASSIGN_OR_RETURN(
-        const ICompressionCodec* codec,
-        CodecRegistry::Get().ByMethod(static_cast<uint8_t>(framed[i])));
-    codecs.push_back(codec);
-    if (!spec.empty()) spec += '+';
-    spec += codec->name();
-  }
-  framed.remove_prefix(chain_len);
+  framed.remove_prefix(2);
   uint64_t raw_size = 0;
   MANIMAL_RETURN_IF_ERROR(GetVarint64(&framed, &raw_size));
   if (raw_size > kMaxDecodedBlockBytes) {
     return Status::Corruption("block raw size too large");
   }
-  if (chain_spec != nullptr) *chain_spec = std::move(spec);
   raw->clear();
-  if (codecs.empty()) {
-    raw->assign(framed.data(), framed.size());
-  } else {
-    std::string stage(framed);
-    std::string next;
-    for (size_t i = codecs.size(); i-- > 0;) {
-      next.clear();
-      MANIMAL_RETURN_IF_ERROR(codecs[i]->Decompress(stage, &next));
-      stage.swap(next);
-    }
-    raw->swap(stage);
-  }
+  MANIMAL_RETURN_IF_ERROR(MlzDecompress(framed, raw));
   if (raw->size() != raw_size) {
     return Status::Corruption(
         StrPrintf("block raw size mismatch: frame says %llu, decoded %llu",

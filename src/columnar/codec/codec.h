@@ -1,113 +1,42 @@
-// Chained compression codec framework for SeqFile blocks — the
-// ClickHouse-style generalization of the hard-wired delta/dictionary
-// paths (ROADMAP item 3): each codec owns a one-byte method id, block
-// bodies carry the chain of method bytes they were compressed with,
-// and decompression resolves every method byte through a process-wide
-// registry (an unregistered byte is a Corruption, never silent
-// garbage).
+// The block codec of compressed SeqFile blocks (the v2 layout,
+// columnar/seqfile.h): mlz, a small hand-rolled LZ77 with an
+// LZ4-flavored token format, deterministic and dependency-free.
 //
 // Two layers cooperate:
-//   * column stage — the existing per-slot delta (zigzag varints) and
+//   * column stage — the per-slot delta (zigzag varints) and
 //     dictionary (code) encodings, chosen by the analyzer because they
 //     preserve direct-operation semantics per record;
-//   * block stage — the general-purpose codecs here, applied to the
-//     whole encoded block body (e.g. Delta+Mlz is "delta slots, then
-//     the mlz LZ codec over the block").
+//   * block stage — mlz here, applied to the whole encoded block body.
 //
 // The framed block layout (inside the usual fixed32 length envelope):
 //
-//   [u8 chain_len] [chain_len method bytes, outermost last]
-//   [varint raw_size] [payload]
+//   [0x01] [0x03] [varint raw_size] [mlz payload]
 //
-// chain_len == 0 means the payload is the raw body (still framed, so
-// one parser handles every v2 block). Codecs are deterministic and
-// dependency-free: the container bakes no LZ4/zstd, so the LZ stage is
-// a small hand-rolled LZ77 ("mlz") with an LZ4-flavored token format.
+// The two leading tag bytes are constant. The reader accepts exactly
+// this frame: any other tag is a Corruption, never silent garbage.
 
 #ifndef MANIMAL_COLUMNAR_CODEC_CODEC_H_
 #define MANIMAL_COLUMNAR_CODEC_CODEC_H_
 
-#include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/status.h"
 
 namespace manimal::columnar {
 
-// Block-stage codec interface. Compress/Decompress append to *out.
-// Decompress must tolerate arbitrary (corrupt) input: bounds-check
-// everything and return Corruption instead of reading out of range.
-class ICompressionCodec {
- public:
-  virtual ~ICompressionCodec() = default;
+// The codec name compressed files record in their header and the
+// catalog in its codec_chain column.
+inline constexpr char kBlockCodecName[] = "mlz";
 
-  // The on-disk method id recorded in the block frame. 0x00 is
-  // reserved as invalid so zeroed corruption is caught.
-  virtual uint8_t method_byte() const = 0;
-  virtual const char* name() const = 0;
+// Appends the framed, mlz-compressed form of `raw` to *out.
+void CompressBlock(std::string_view raw, std::string* out);
 
-  virtual void Compress(std::string_view in, std::string* out) const = 0;
-  virtual Status Decompress(std::string_view in, std::string* out) const = 0;
-};
-
-// Registered method bytes.
-inline constexpr uint8_t kCodecMethodNone = 0x01;
-inline constexpr uint8_t kCodecMethodRle = 0x02;
-inline constexpr uint8_t kCodecMethodMlz = 0x03;
-
-// Process-wide codec registry. Built-in codecs are registered on first
-// use; lookups by an unknown method byte return Corruption (the
-// SeqFileReader contract) and by an unknown name InvalidArgument.
-class CodecRegistry {
- public:
-  static CodecRegistry& Get();
-
-  Result<const ICompressionCodec*> ByMethod(uint8_t method) const;
-  Result<const ICompressionCodec*> ByName(std::string_view name) const;
-
-  // Takes ownership; replaces any codec previously holding the same
-  // method byte or name (tests register throwaway codecs this way).
-  void Register(std::unique_ptr<ICompressionCodec> codec);
-
- private:
-  CodecRegistry();
-  struct Impl;
-  Impl* impl_;
-};
-
-// An ordered chain of block-stage codecs, applied first-to-last on
-// compression and last-to-first on decompression.
-class CodecChain {
- public:
-  CodecChain() = default;
-
-  // Parses a '+'-joined spec, e.g. "rle+mlz". "" and "none" both mean
-  // the empty chain (framed but uncompressed).
-  static Result<CodecChain> Parse(std::string_view spec);
-
-  bool empty() const { return codecs_.empty(); }
-  size_t size() const { return codecs_.size(); }
-
-  // '+'-joined names; "" for the empty chain.
-  std::string ToString() const;
-
-  // Appends the framed block ([chain][raw_size][payload]) to *out.
-  Status CompressBlock(std::string_view raw, std::string* out) const;
-
-  // Inverse of CompressBlock over any chain: resolves the frame's
-  // method bytes through the registry (Corruption when one is
-  // unregistered), decompresses innermost-last, and verifies the
-  // recorded raw size. *chain_spec (optional) receives the
-  // '+'-joined chain names for reporting.
-  static Status DecompressBlock(std::string_view framed, std::string* raw,
-                                std::string* chain_spec = nullptr);
-
- private:
-  std::vector<const ICompressionCodec*> codecs_;
-};
+// Inverse of CompressBlock: replaces *raw with the decompressed body.
+// Tolerates arbitrary (corrupt) input: a bad tag, a truncated or
+// malformed payload, or a body whose size disagrees with the recorded
+// raw_size is a Corruption, never an out-of-range read.
+Status DecompressBlock(std::string_view framed, std::string* raw);
 
 }  // namespace manimal::columnar
 

@@ -58,19 +58,11 @@ Result<std::unique_ptr<SeqFileWriter>> SeqFileWriter::Create(
   }
   MANIMAL_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> f,
                            WritableFile::Create(path));
-  // Normalize the chain spec through the registry so unknown codec
-  // names fail at create time, not at first read.
-  MANIMAL_ASSIGN_OR_RETURN(CodecChain chain,
-                           CodecChain::Parse(options.codec_chain));
-  meta.codec_chain = chain.ToString();
+  meta.codec_chain = options.compressed ? kBlockCodecName : "";
   auto writer = std::unique_ptr<SeqFileWriter>(
       new SeqFileWriter(std::move(f), std::move(meta), options));
   writer->delta_prev_.assign(writer->meta_.delta_slots.size(), 0);
-  writer->v2_ = !writer->meta_.codec_chain.empty() || options.skip_frames;
-  if (!chain.empty()) {
-    writer->chain_ = std::make_unique<CodecChain>(std::move(chain));
-  }
-  if (options.skip_frames && !writer->meta_.stored_schema.opaque()) {
+  if (options.compressed && !writer->meta_.stored_schema.opaque()) {
     // Every stored slot whose decoded runtime value is an i64: plain
     // i64 columns, delta columns (i64 by construction), and
     // dictionary columns (surfaced as codes).
@@ -104,7 +96,7 @@ SeqFileWriter::~SeqFileWriter() = default;
 
 Status SeqFileWriter::WriteHeader() {
   std::string out(kMagic, 4);
-  PutVarint32(&out, v2_ ? 2 : 1);  // version
+  PutVarint32(&out, options_.compressed ? 2 : 1);  // version
   PutLengthPrefixed(&out, meta_.original_schema.ToString());
   PutLengthPrefixed(&out, meta_.stored_schema.ToString());
   PutVarint32(&out, static_cast<uint32_t>(meta_.field_map.size()));
@@ -115,7 +107,7 @@ Status SeqFileWriter::WriteHeader() {
   for (int s : meta_.dict_slots) PutVarint32(&out, s);
   PutLengthPrefixed(&out, meta_.dict_path);
   out.push_back(meta_.has_key_slot ? 1 : 0);
-  if (v2_) {
+  if (options_.compressed) {
     PutLengthPrefixed(&out, meta_.codec_chain);
     out.push_back(frame_slots_.empty() ? 0 : kFlagSkipFrames);
     PutVarint32(&out, static_cast<uint32_t>(frame_slots_.size()));
@@ -236,15 +228,9 @@ Status SeqFileWriter::FlushBlock() {
   PutVarint32(&body, block_records_);
   body += block_buf_;
   raw_body_bytes_ += body.size();
-  if (v2_) {
-    // Frame (and compress) the body; an empty chain still frames so
-    // every v2 block parses the same way.
+  if (options_.compressed) {
     std::string framed;
-    if (chain_ != nullptr) {
-      MANIMAL_RETURN_IF_ERROR(chain_->CompressBlock(body, &framed));
-    } else {
-      MANIMAL_RETURN_IF_ERROR(CodecChain().CompressBlock(body, &framed));
-    }
+    CompressBlock(body, &framed);
     body = std::move(framed);
   }
   std::string out;
@@ -367,9 +353,9 @@ Status SeqFileReader::Init(const std::string& path) {
   hin.remove_prefix(1);
   bool has_frames = false;
   if (version_ >= 2) {
-    std::string_view chain_spec;
-    MANIMAL_RETURN_IF_ERROR(GetLengthPrefixed(&hin, &chain_spec));
-    meta_.codec_chain = std::string(chain_spec);
+    std::string_view codec;
+    MANIMAL_RETURN_IF_ERROR(GetLengthPrefixed(&hin, &codec));
+    meta_.codec_chain = std::string(codec);
     if (hin.empty()) return Status::Corruption("truncated seqfile header");
     const uint8_t flags = static_cast<uint8_t>(hin[0]);
     hin.remove_prefix(1);
@@ -621,7 +607,7 @@ Status SeqFileReader::DecodeBlock(RandomAccessFile* file, uint64_t block,
   }
   out->body.clear();
   if (version_ >= 2) {
-    MANIMAL_RETURN_IF_ERROR(CodecChain::DecompressBlock(in, &out->body));
+    MANIMAL_RETURN_IF_ERROR(DecompressBlock(in, &out->body));
   } else {
     out->body.assign(in.data(), in.size());
   }

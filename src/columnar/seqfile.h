@@ -17,12 +17,12 @@
 //           varint delta-slot count + varints (stored slots),
 //           varint dict-slot count + varints (stored slots),
 //           length-prefixed dictionary sidecar path ("" if none)
-//           [v2+] length-prefixed block codec chain spec ("" = none),
-//                 flags byte (bit 0: footer has skip frames),
-//                 varint frame-slot count + varints (stored slots)
+//           [v2] length-prefixed block codec name ("mlz"),
+//                flags byte (bit 0: footer has skip frames),
+//                varint frame-slot count + varints (stored slots)
 //   blocks: fixed32 body length, body = varint record count + records
-//           [v2] the body is codec-framed (columnar/codec/codec.h):
-//                chain method bytes + raw size + compressed payload
+//           [v2] the body is mlz-framed (columnar/codec/codec.h):
+//                two tag bytes + raw size + compressed payload
 //   footer: fixed64 * nblocks (block offsets),
 //           fixed64 * nblocks (records preceding each block),
 //           [v2, flag bit 0] per block, per frame slot: fixed64 min,
@@ -32,8 +32,8 @@
 //           fixed64 nblocks, fixed64 nrecords,
 //           fixed64 footer offset, fixed32 magic
 //
-// Version 1 files (no block codec chain, no skip frames) are written
-// whenever neither feature is requested, and remain fully readable.
+// Version 1 files (raw blocks, no skip frames) are written unless
+// Options::compressed asks for v2; raw inputs and job outputs are v1.
 //
 // Blocks are the split granularity for the execution fabric: a map
 // task owns a contiguous block range. Each RecordStream opens its own
@@ -65,7 +65,6 @@
 namespace manimal::columnar {
 
 class DictionaryBuilder;
-class CodecChain;
 
 struct SeqFileMeta {
   Schema original_schema;       // schema of the logical input records
@@ -78,8 +77,8 @@ struct SeqFileMeta {
   // ORIGINAL map() key so user programs observe identical inputs; raw
   // files instead synthesize the key as the global record ordinal.
   bool has_key_slot = false;
-  // Block-stage codec chain spec (e.g. "mlz", "rle+mlz"); "" means
-  // blocks are stored raw. See columnar/codec/codec.h.
+  // Block codec the file was written with: "mlz" (v2) or "" (raw
+  // v1 blocks). See columnar/codec/codec.h.
   std::string codec_chain;
 
   bool IsPlain() const {
@@ -102,12 +101,10 @@ class SeqFileWriter {
     // Column-group sibling files use this so their blocks stay
     // row-aligned and one split range is valid across all of them.
     uint32_t records_per_block = 0;
-    // Block-stage codec chain (e.g. "mlz", "rle+mlz"; "" = raw
-    // blocks). Non-empty forces the v2 on-disk format.
-    std::string codec_chain;
-    // Record per-block min/max skip frames for every i64-valued
-    // stored slot (plain i64, delta, dictionary-code). Forces v2.
-    bool skip_frames = false;
+    // The v2 layout: mlz-compressed blocks plus per-block min/max
+    // skip frames for every i64-valued stored slot (plain i64, delta,
+    // dictionary-code). Off writes raw v1 blocks.
+    bool compressed = false;
   };
 
   static Result<std::unique_ptr<SeqFileWriter>> Create(
@@ -140,7 +137,7 @@ class SeqFileWriter {
   uint64_t num_records() const { return num_records_; }
 
   // Total uncompressed block-body bytes appended so far — what the
-  // file would weigh without the block codec chain. The catalog
+  // file would weigh without the block codec. The catalog
   // records this next to the compressed artifact size so the cost
   // model can price bytes-decoded separately from bytes-scanned.
   uint64_t raw_body_bytes() const { return raw_body_bytes_; }
@@ -152,8 +149,6 @@ class SeqFileWriter {
   uint32_t last_index_in_block() const { return last_index_in_block_; }
 
  private:
-  // Out-of-line: members include unique_ptr<CodecChain>, and
-  // CodecChain is only forward-declared here.
   SeqFileWriter(std::unique_ptr<WritableFile> file, SeqFileMeta meta,
                 Options options);
 
@@ -177,8 +172,6 @@ class SeqFileWriter {
   uint32_t last_index_in_block_ = 0;
 
   // ---- v2 state ----
-  bool v2_ = false;
-  std::unique_ptr<CodecChain> chain_;  // null when codec_chain is ""
   std::vector<int> frame_slots_;       // stored slots with skip frames
   std::vector<int> slot_frame_index_;  // stored slot -> frame idx | -1
   std::vector<int64_t> block_min_, block_max_;  // current block, per frame

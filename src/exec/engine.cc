@@ -717,6 +717,7 @@ Status JobRunner::ReduceAttempt(int partition, int attempt) {
     stat.attempt = attempt;
     stat.records_in = counts.reduce_groups;
     stat.records_out = part->num_pairs();
+    stat.bytes_read = shuffle_->PartitionBytes(partition);
     stat.bytes_written = part->payload_bytes();
     stat.vm_instructions =
         vm != nullptr ? static_cast<uint64_t>(vm->total_steps()) : 0;

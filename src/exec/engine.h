@@ -181,6 +181,8 @@ struct TaskStat {
   int attempt = 0;  // 1-based attempt
   uint64_t records_in = 0;   // records scanned (map) / groups (reduce)
   uint64_t records_out = 0;  // pairs emitted
+  // Input bytes read (map) / shuffle key + payload bytes merged
+  // (reduce).
   uint64_t bytes_read = 0;
   uint64_t bytes_written = 0;
   // VM steps executed by the attempt (for a reduce task with a native

@@ -10,7 +10,7 @@
 
 #include "analysis/expr.h"
 #include "analyzer/expr_eval.h"
-#include "columnar/codec/selector.h"
+#include "columnar/codec/codec.h"
 #include "columnar/column_groups.h"
 #include "columnar/dictionary.h"
 #include "columnar/seqfile.h"
@@ -510,56 +510,24 @@ Result<IndexBuildResult> BuildIndexArtifact(
     const std::string artifact_path =
         artifact_dir + "/seq-" + tag + ".msq";
 
-    // Per-column codec-chain selection (columnar/codec/selector.h):
-    // sample a prefix of the stored records, sketch their columns,
-    // and pick the block codec chain before the writer is created.
-    // The policy (MANIMAL_CODECS) applies to re-encoded artifacts
-    // only — raw/base files stay in the v1 format.
-    MANIMAL_ASSIGN_OR_RETURN(columnar::CodecPolicy codec_policy,
-                             columnar::CodecPolicy::FromEnv());
-    columnar::CodecSelector selector(codec_policy, meta);
-    std::vector<std::pair<int64_t, Record>> sampled;
-    std::unique_ptr<columnar::SeqFileWriter> writer;
-    auto open_writer = [&]() -> Status {
-      const columnar::CodecSelection codec_sel = selector.Choose();
-      build_span.AddArg("codec", codec_sel.reason);
-      result.entry.codec_chain = codec_sel.chain;
-      columnar::SeqFileWriter::Options writer_options;
-      writer_options.codec_chain = codec_sel.chain;
-      writer_options.skip_frames = codec_sel.skip_frames;
-      MANIMAL_ASSIGN_OR_RETURN(
-          writer,
-          columnar::SeqFileWriter::Create(artifact_path + ".inprogress",
-                                          meta, writer_options));
-      if (spec.dictionary) writer->set_dict_builder(&dict_builder);
-      for (auto& [skey, stored] : sampled) {
-        MANIMAL_RETURN_IF_ERROR(writer->Append(skey, stored));
-      }
-      result.records += sampled.size();
-      sampled.clear();
-      return Status::OK();
-    };
-
+    // Re-encoded artifacts are compressed (v2: mlz blocks plus skip
+    // frames); raw/base files stay in the v1 format.
+    columnar::SeqFileWriter::Options writer_options;
+    writer_options.compressed = true;
+    MANIMAL_ASSIGN_OR_RETURN(
+        std::unique_ptr<columnar::SeqFileWriter> writer,
+        columnar::SeqFileWriter::Create(artifact_path + ".inprogress", meta,
+                                        writer_options));
+    if (spec.dictionary) writer->set_dict_builder(&dict_builder);
+    result.entry.codec_chain = columnar::kBlockCodecName;
     MANIMAL_RETURN_IF_ERROR(scan([&](BuildBlock* block) -> Status {
       for (size_t r = 0; r < block->rows(); ++r) {
-        Record& stored = block->stored(r);
-        if (writer != nullptr) {
-          MANIMAL_RETURN_IF_ERROR(writer->Append(block->key(r), stored));
-          ++result.records;
-          continue;
-        }
-        // The sample outlives the block, whose buffers its str fields
-        // view.
-        selector.Observe(stored);
-        for (Value& v : stored) v.EnsureOwned();
-        sampled.emplace_back(block->key(r), std::move(stored));
-        if (sampled.size() == columnar::CodecSelector::kSampleCap) {
-          MANIMAL_RETURN_IF_ERROR(open_writer());
-        }
+        MANIMAL_RETURN_IF_ERROR(
+            writer->Append(block->key(r), block->stored(r)));
       }
+      result.records += block->rows();
       return Status::OK();
     }));
-    if (writer == nullptr) MANIMAL_RETURN_IF_ERROR(open_writer());
     result.entry.raw_bytes = writer->raw_body_bytes();
     MANIMAL_ASSIGN_OR_RETURN(uint64_t bytes, writer->Finish());
     MANIMAL_RETURN_IF_ERROR(

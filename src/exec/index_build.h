@@ -12,9 +12,9 @@
 // that does not depend on row order (projected records, statistics
 // keys and their KMV sketches, the B+Tree key and clustered or
 // raw-input locator payloads). The calling thread takes the blocks in
-// file order and does the rest — reservoir sampling, codec sampling,
-// the artifact writers and the sort — so the artifact is the same
-// bytes at every parallelism (docs/execution.md "Index generation").
+// file order and does the rest — reservoir sampling, the artifact
+// writers and the sort — so the artifact is the same bytes at every
+// parallelism (docs/execution.md "Index generation").
 
 #ifndef MANIMAL_EXEC_INDEX_BUILD_H_
 #define MANIMAL_EXEC_INDEX_BUILD_H_

@@ -25,7 +25,8 @@ Shuffle::Mapper::Mapper(Shuffle* shuffle, int id)
     : shuffle_(shuffle),
       id_(id),
       buffers_(shuffle->options_.num_partitions),
-      run_paths_(shuffle->options_.num_partitions) {}
+      run_paths_(shuffle->options_.num_partitions),
+      partition_bytes_(shuffle->options_.num_partitions, 0) {}
 
 Shuffle::Mapper::~Mapper() {
   // Sealed mappers handed their runs to the shuffle; an unsealed
@@ -73,6 +74,7 @@ Status Shuffle::Mapper::Spill(int partition) {
                            buffer.SpillToFile(path));
   run_paths_[partition].push_back(std::move(path));
   buffered_bytes_ -= arena_bytes;
+  partition_bytes_[partition] += arena_bytes;
   shuffle_->OnSpill(id_, partition, run_bytes);
   return Status::OK();
 }
@@ -85,6 +87,7 @@ Status Shuffle::Mapper::Seal() {
   std::vector<bool> has_tail(num_partitions, false);
   for (int p = 0; p < num_partitions; ++p) {
     if (buffers_[p].empty()) continue;
+    partition_bytes_[p] += buffers_[p].buffered_bytes();
     tails[p] = buffers_[p].TakeSortedRun();
     has_tail[p] = true;
   }
@@ -96,6 +99,7 @@ Status Shuffle::Mapper::Seal() {
     }
     run_paths_[p].clear();
     if (has_tail[p]) state.memory_runs.push_back(std::move(tails[p]));
+    state.bytes += partition_bytes_[p];
   }
   shuffle_->stats_.entries += entries_;
   ++shuffle_->stats_.mappers_sealed;
@@ -176,6 +180,12 @@ Result<std::unique_ptr<index::SortedStream>> Shuffle::FinishPartition(
       .Emit();
   return index::MergeSortedRunsBorrowed(run_paths,
                                         std::move(memory_runs));
+}
+
+uint64_t Shuffle::PartitionBytes(int p) const {
+  MANIMAL_CHECK(p >= 0 && p < static_cast<int>(partitions_.size()));
+  std::lock_guard<std::mutex> lock(mu_);
+  return partitions_[p].bytes;
 }
 
 Shuffle::Stats Shuffle::stats() const {

@@ -88,6 +88,8 @@ class Shuffle {
     bool sealed_ = false;
     std::vector<index::SpillBuffer> buffers_;          // one per partition
     std::vector<std::vector<std::string>> run_paths_;  // one per partition
+    // Key + payload bytes spilled or sealed, one per partition.
+    std::vector<uint64_t> partition_bytes_;
   };
 
   explicit Shuffle(Options options);
@@ -105,12 +107,17 @@ class Shuffle {
   // Shuffle, so a retried reduce task simply merges again.
   Result<std::unique_ptr<index::SortedStream>> FinishPartition(int p);
 
+  // Key + payload bytes the sealed mappers handed to partition `p`:
+  // what its reduce task merges.
+  uint64_t PartitionBytes(int p) const;
+
   Stats stats() const;
 
  private:
   struct PartitionState {
     std::vector<std::string> run_paths;
     std::vector<index::MemoryRun> memory_runs;
+    uint64_t bytes = 0;
   };
 
   void OnSpill(int mapper_id, int partition, uint64_t run_bytes);

@@ -38,7 +38,7 @@ struct CatalogEntry {
   std::string stats_path;
   uint64_t artifact_bytes = 0;
   uint64_t input_bytes = 0;
-  // Block codec chain the artifact was written with ("" = raw blocks)
+  // Block codec the artifact was written with ("mlz"; "" = raw blocks)
   // and its uncompressed block-body size — what a scan would decode
   // if no block were elided. The cost model prices bytes-decoded from
   // these separately from bytes-scanned (artifact_bytes).

@@ -183,8 +183,8 @@ Result<Plan> MakePlanForSpec(const mril::Program& program,
       d.applied.push_back(StrPrintf("direct-operation(%zu fields)",
                                     spec.dict_fields.size()));
     }
-    // Re-encoded artifacts may be block-compressed (v2): surface the
-    // chain so EXPLAIN shows what the scan will decode through.
+    // Re-encoded artifacts are block-compressed (v2): surface the
+    // codec so EXPLAIN shows what the scan will decode through.
     if (!entry.codec_chain.empty()) {
       d.applied.push_back("codec(" + entry.codec_chain + ")");
     }

@@ -1,9 +1,9 @@
-// Tests for the chained block codec framework (columnar/codec/): raw
-// codec round-trips, chain parse/frame semantics, fuzzed random
-// chains over adversarial column data, SeqFile v2 round-trips with
-// skip-frame verification, corrupt-frame handling (an unregistered
-// method byte must be a Corruption, never silent garbage), the
-// codec-chain selector, and the catalog's codec columns.
+// Tests for the block codec (columnar/codec/): mlz frame round-trips
+// over adversarial and fuzzed column data, corrupt-frame handling (a
+// frame that names another codec must be a Corruption, never silent
+// garbage), SeqFile v2 round-trips with skip-frame verification, the
+// v2 layout's pinned bytes, direct evaluation end to end, and the
+// catalog's codec columns.
 
 #include <gtest/gtest.h>
 
@@ -15,11 +15,11 @@
 #include "analyzer/analyzer.h"
 #include "analyzer/index_gen.h"
 #include "columnar/codec/codec.h"
-#include "columnar/codec/selector.h"
 #include "columnar/dictionary.h"
 #include "columnar/seqfile.h"
 #include "common/coding.h"
 #include "common/random.h"
+#include "common/strings.h"
 #include "core/manimal.h"
 #include "exec/pairfile.h"
 #include "index/catalog.h"
@@ -41,16 +41,13 @@ Record Row(const std::string& name, int64_t a, int64_t b) {
   return {Value::Str(name), Value::I64(a), Value::I64(b)};
 }
 
-// ---------------- raw codecs ----------------
+// ---------------- block frames ----------------
 
-std::string RoundTrip(const char* chain_spec, const std::string& in) {
-  auto chain = CodecChain::Parse(chain_spec);
-  EXPECT_TRUE(chain.ok()) << chain.status().ToString();
+std::string RoundTrip(const std::string& in) {
   std::string framed;
-  EXPECT_OK(chain->CompressBlock(in, &framed));
-  std::string out, spec;
-  EXPECT_OK(CodecChain::DecompressBlock(framed, &out, &spec));
-  EXPECT_EQ(spec, chain->ToString());
+  CompressBlock(in, &framed);
+  std::string out;
+  EXPECT_OK(DecompressBlock(framed, &out));
   return out;
 }
 
@@ -69,39 +66,21 @@ TEST(CodecTest, EveryCodecRoundTripsAdversarialPayloads) {
   }
   const std::string payloads[] = {"", "x", "ab", zeros, random_bytes,
                                   text, runs};
-  const char* chains[] = {"",        "none", "rle",
-                          "mlz",     "rle+mlz", "mlz+rle",
-                          "rle+rle", "mlz+mlz"};
-  for (const char* chain : chains) {
-    for (const std::string& payload : payloads) {
-      SCOPED_TRACE(std::string("chain '") + chain + "' payload size " +
-                   std::to_string(payload.size()));
-      EXPECT_EQ(RoundTrip(chain, payload), payload);
-    }
+  for (const std::string& payload : payloads) {
+    SCOPED_TRACE("payload size " + std::to_string(payload.size()));
+    EXPECT_EQ(RoundTrip(payload), payload);
   }
 }
 
 TEST(CodecTest, MlzActuallyCompressesRepetitiveData) {
   std::string in;
   for (int i = 0; i < 500; ++i) in += "the quick brown fox 42 ";
-  auto chain = CodecChain::Parse("mlz");
-  ASSERT_OK(chain.status());
   std::string framed;
-  ASSERT_OK(chain->CompressBlock(in, &framed));
+  CompressBlock(in, &framed);
   EXPECT_LT(framed.size(), in.size() / 4);
 }
 
-TEST(CodecTest, RleActuallyCompressesRuns) {
-  std::string in(10000, 'a');
-  auto chain = CodecChain::Parse("rle");
-  ASSERT_OK(chain.status());
-  std::string framed;
-  ASSERT_OK(chain->CompressBlock(in, &framed));
-  EXPECT_LT(framed.size(), 300u);
-}
-
 TEST(CodecTest, FuzzRandomChainsOverRandomColumnData) {
-  const char* chains[] = {"", "rle", "mlz", "rle+mlz", "mlz+rle"};
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
     // Column-shaped data: blocks of varint-ish small ints, repeated
@@ -122,69 +101,46 @@ TEST(CodecTest, FuzzRandomChainsOverRandomColumnData) {
           }
       }
     }
-    const char* chain = chains[rng.Uniform(5)];
-    SCOPED_TRACE("seed " + std::to_string(seed) + " chain '" + chain +
-                 "' rows " + std::to_string(rows));
-    EXPECT_EQ(RoundTrip(chain, payload), payload);
+    SCOPED_TRACE("seed " + std::to_string(seed) + " rows " +
+                 std::to_string(rows));
+    EXPECT_EQ(RoundTrip(payload), payload);
   }
 }
 
-// ---------------- frames, registry, corruption ----------------
-
-TEST(CodecTest, ParseRejectsUnknownNamesAndNormalizes) {
-  EXPECT_TRUE(CodecChain::Parse("").ok());
-  EXPECT_TRUE(CodecChain::Parse("none").ok());
-  EXPECT_EQ(CodecChain::Parse("none")->ToString(), "");
-  EXPECT_EQ(CodecChain::Parse("rle+mlz")->ToString(), "rle+mlz");
-  auto bad = CodecChain::Parse("zstd");
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_FALSE(CodecChain::Parse("rle++mlz").ok());
-}
-
-TEST(CodecTest, RegistryLookups) {
-  ASSERT_OK_AND_ASSIGN(const ICompressionCodec* rle,
-                       CodecRegistry::Get().ByName("rle"));
-  EXPECT_EQ(rle->method_byte(), kCodecMethodRle);
-  auto unknown_name = CodecRegistry::Get().ByName("nope");
-  ASSERT_FALSE(unknown_name.ok());
-  EXPECT_EQ(unknown_name.status().code(), StatusCode::kInvalidArgument);
-  auto unknown_method = CodecRegistry::Get().ByMethod(0x7F);
-  ASSERT_FALSE(unknown_method.ok());
-  EXPECT_EQ(unknown_method.status().code(), StatusCode::kCorruption);
-}
+// ---------------- corruption ----------------
 
 TEST(CodecTest, DecompressRejectsCorruptFrames) {
   std::string out;
   // Truncated / empty frames.
-  EXPECT_FALSE(CodecChain::DecompressBlock("", &out).ok());
-  EXPECT_FALSE(CodecChain::DecompressBlock(std::string("\x01", 1), &out).ok());
-  // Unregistered method byte in the chain.
+  EXPECT_FALSE(DecompressBlock("", &out).ok());
+  EXPECT_FALSE(DecompressBlock(std::string("\x01", 1), &out).ok());
+  EXPECT_FALSE(DecompressBlock(std::string("\x01\x03", 2), &out).ok());
+  // A tag byte naming any codec but mlz.
   std::string framed;
-  ASSERT_OK(CodecChain().CompressBlock("hello", &framed));
-  ASSERT_EQ(framed[0], '\0');  // empty chain
-  framed[0] = '\x01';          // claim one codec...
-  framed.insert(1, 1, '\x7F'); // ...with an unregistered method byte
-  out.clear();
-  Status st = CodecChain::DecompressBlock(framed, &out);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kCorruption);
-  EXPECT_NE(st.message().find("unregistered codec"), std::string::npos);
+  CompressBlock("hello", &framed);
+  ASSERT_EQ(framed.substr(0, 2), std::string("\x01\x03", 2));
+  for (size_t tag = 0; tag < 2; ++tag) {
+    std::string other = framed;
+    other[tag] = '\x7F';
+    Status st = DecompressBlock(other, &out);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kCorruption);
+    EXPECT_NE(st.message().find("unknown codec"), std::string::npos);
+  }
   // Recorded raw size disagrees with the decoded payload.
-  framed.clear();
-  ASSERT_OK(CodecChain().CompressBlock("hello", &framed));
-  framed[1] = '\x04';  // raw_size varint: claim 4, payload is 5
-  EXPECT_FALSE(CodecChain::DecompressBlock(framed, &out).ok());
-  // Random garbage decompression must fail cleanly, never crash.
+  framed[2] = '\x04';  // raw_size varint: claim 4, payload is 5
+  EXPECT_FALSE(DecompressBlock(framed, &out).ok());
+  // Random garbage must fail cleanly, never crash: bare, and behind a
+  // valid tag so the mlz decoder sees it.
   Rng rng(5);
   for (int trial = 0; trial < 500; ++trial) {
     std::string garbage;
+    if (trial % 2 == 1) garbage = framed.substr(0, 2);
     const uint32_t n = rng.Uniform(64);
     for (uint32_t i = 0; i < n; ++i) {
       garbage.push_back(static_cast<char>(rng.Uniform(256)));
     }
-    out.clear();
-    (void)CodecChain::DecompressBlock(garbage, &out);
+    (void)DecompressBlock(garbage, &out);
   }
 }
 
@@ -209,15 +165,14 @@ TEST(SeqFileV2Test, ChainedFileRoundTripsAndReportsBytesDecoded) {
   SeqFileWriter::Options raw_opts;
   WriteNumFile(plain, 400, raw_opts);
   SeqFileWriter::Options packed_opts;
-  packed_opts.codec_chain = "rle+mlz";
-  packed_opts.skip_frames = true;
+  packed_opts.compressed = true;
   WriteNumFile(packed, 400, packed_opts);
 
   ASSERT_OK_AND_ASSIGN(auto plain_reader, SeqFileReader::Open(plain));
   ASSERT_OK_AND_ASSIGN(auto packed_reader, SeqFileReader::Open(packed));
   EXPECT_EQ(plain_reader->version(), 1u);
   EXPECT_EQ(packed_reader->version(), 2u);
-  EXPECT_EQ(packed_reader->meta().codec_chain, "rle+mlz");
+  EXPECT_EQ(packed_reader->meta().codec_chain, "mlz");
   EXPECT_TRUE(packed_reader->has_skip_frames());
   // The compressible integer columns must actually shrink on disk.
   EXPECT_LT(packed_reader->file_size(), plain_reader->file_size());
@@ -248,7 +203,7 @@ TEST(SeqFileV2Test, SkipFramesMatchBruteForceBounds) {
   TempDir dir("frames");
   const std::string path = dir.file("t.msq");
   SeqFileWriter::Options options;
-  options.skip_frames = true;
+  options.compressed = true;
   options.target_block_bytes = 512;  // force many blocks
   Rng rng(7);
   std::vector<std::pair<int64_t, int64_t>> rows;
@@ -298,7 +253,7 @@ TEST(SeqFileV2Test, ScanHonorsSkipFilterAndCountsSkips) {
   TempDir dir("skipscan");
   const std::string path = dir.file("t.msq");
   SeqFileWriter::Options options;
-  options.skip_frames = true;
+  options.compressed = true;
   options.records_per_block = 100;
   WriteNumFile(path, 400, options);
   ASSERT_OK_AND_ASSIGN(auto reader, SeqFileReader::Open(path));
@@ -325,20 +280,19 @@ TEST(SeqFileV2Test, ScanHonorsSkipFilterAndCountsSkips) {
   EXPECT_EQ(stream.records_skipped(), 200u);
 }
 
-// The satellite contract: a block whose frame names a method byte no
-// registered codec owns must surface as Corruption from the reader,
-// not as silently-garbled records.
+// A block whose frame names a codec other than mlz must surface as
+// Corruption from the reader, not as silently-garbled records.
 TEST(SeqFileV2Test, UnregisteredMethodByteIsCorruption) {
   TempDir dir("badmethod");
   const std::string path = dir.file("t.msq");
   SeqFileWriter::Options options;
-  options.codec_chain = "rle";
+  options.compressed = true;
   WriteNumFile(path, 50, options);
 
-  // Patch the first block's first chain method byte on disk. Layout:
-  // footer tail's third fixed64 is the footer offset; the footer opens
-  // with the per-block offsets; a block is fixed32 body_len, then the
-  // frame's [u8 chain_len][method bytes...].
+  // Patch the first block's method byte on disk. Layout: footer tail's
+  // third fixed64 is the footer offset; the footer opens with the
+  // per-block offsets; a block is fixed32 body_len, then the frame's
+  // tag bytes [0x01][0x03].
   ASSERT_OK_AND_ASSIGN(std::string data, ReadFileToString(path));
   ASSERT_GT(data.size(), 28u);
   const uint64_t footer_offset =
@@ -346,8 +300,8 @@ TEST(SeqFileV2Test, UnregisteredMethodByteIsCorruption) {
   const uint64_t block_offset = DecodeFixed64(data.data() + footer_offset);
   const size_t method_pos = block_offset + 4 + 1;
   ASSERT_LT(method_pos, data.size());
-  ASSERT_EQ(static_cast<uint8_t>(data[method_pos - 1]), 1u);  // chain_len
-  ASSERT_EQ(static_cast<uint8_t>(data[method_pos]), kCodecMethodRle);
+  ASSERT_EQ(static_cast<uint8_t>(data[method_pos - 1]), 0x01u);
+  ASSERT_EQ(static_cast<uint8_t>(data[method_pos]), 0x03u);
   data[method_pos] = '\x7F';
   ASSERT_OK(WriteStringToFile(path, data));
 
@@ -358,7 +312,7 @@ TEST(SeqFileV2Test, UnregisteredMethodByteIsCorruption) {
   auto more = stream.Next(&key, &record);
   ASSERT_FALSE(more.ok());
   EXPECT_EQ(more.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(more.status().message().find("unregistered codec"),
+  EXPECT_NE(more.status().message().find("unknown codec"),
             std::string::npos)
       << more.status().ToString();
 }
@@ -369,8 +323,7 @@ TEST(SeqFileV2Test, EmptyFileAndSingleRecordRoundTrip) {
     const std::string path =
         dir.file("t" + std::to_string(rows) + ".msq");
     SeqFileWriter::Options options;
-    options.codec_chain = "rle+mlz";
-    options.skip_frames = true;
+    options.compressed = true;
     WriteNumFile(path, rows, options);
     ASSERT_OK_AND_ASSIGN(auto reader, SeqFileReader::Open(path));
     EXPECT_EQ(reader->num_records(), static_cast<uint64_t>(rows));
@@ -387,49 +340,34 @@ TEST(SeqFileV2Test, EmptyFileAndSingleRecordRoundTrip) {
   }
 }
 
-// ---------------- selector ----------------
-
-TEST(CodecSelectorTest, NearConstantColumnPicksRlePrefix) {
+// Pins the v2 layout: header, mlz frames, skip frames and footer. Files
+// already on disk must keep reading, so any drift in the bytes the
+// writer produces fails here. No dictionary slot: its sidecar path
+// would land in the header.
+TEST(SeqFileV2Test, LayoutIsByteStable) {
+  TempDir dir("layout");
+  const std::string path = dir.file("t.msq");
   SeqFileMeta meta = PlainMeta(NumSchema());
-  CodecPolicy policy;
-  policy.mode = CodecMode::kAuto;
-  CodecSelector selector(policy, meta);
-  for (int i = 0; i < 500; ++i) {
-    selector.Observe(Row("r", 7, i));  // column "a" is constant
+  meta.delta_slots = {2};
+  SeqFileWriter::Options options;
+  options.compressed = true;
+  options.records_per_block = 40;
+  {
+    ASSERT_OK_AND_ASSIGN(auto writer,
+                         SeqFileWriter::Create(path, meta, options));
+    for (int64_t i = 0; i < 150; ++i) {
+      ASSERT_OK(writer->Append(Row("host-" + std::to_string(i % 7),
+                                   i * 7919 - 500000,
+                                   1000000 + i * 3 + i % 4)));
+    }
+    ASSERT_OK(writer->Finish().status());
   }
-  CodecSelection sel = selector.Choose();
-  EXPECT_EQ(sel.chain, "rle+mlz");
-  EXPECT_TRUE(sel.skip_frames);
-  EXPECT_NE(sel.reason.find("near-constant"), std::string::npos);
-}
-
-TEST(CodecSelectorTest, HighCardinalityPicksPlainLz) {
-  SeqFileMeta meta = PlainMeta(NumSchema());
-  CodecPolicy policy;
-  policy.mode = CodecMode::kAuto;
-  CodecSelector selector(policy, meta);
-  for (int i = 0; i < 500; ++i) {
-    selector.Observe(Row("r" + std::to_string(i), i, i * 31));
-  }
-  CodecSelection sel = selector.Choose();
-  EXPECT_EQ(sel.chain, "mlz");
-  EXPECT_TRUE(sel.skip_frames);
-}
-
-TEST(CodecSelectorTest, OffAndExplicitModes) {
-  SeqFileMeta meta = PlainMeta(NumSchema());
-  CodecPolicy off;
-  off.mode = CodecMode::kOff;
-  CodecSelection sel_off = CodecSelector(off, meta).Choose();
-  EXPECT_EQ(sel_off.chain, "");
-  EXPECT_FALSE(sel_off.skip_frames);
-
-  CodecPolicy forced;
-  forced.mode = CodecMode::kExplicit;
-  forced.explicit_chain = "rle";
-  CodecSelection sel_rle = CodecSelector(forced, meta).Choose();
-  EXPECT_EQ(sel_rle.chain, "rle");
-  EXPECT_TRUE(sel_rle.skip_frames);
+  ASSERT_OK_AND_ASSIGN(auto reader, SeqFileReader::Open(path));
+  EXPECT_EQ(reader->num_blocks(), 4u);
+  EXPECT_TRUE(reader->has_skip_frames());
+  ASSERT_OK_AND_ASSIGN(std::string data, ReadFileToString(path));
+  EXPECT_EQ(data.size(), 1525u);
+  EXPECT_EQ(Fnv1a(data), 0xf2ebf2a035d9212cull);
 }
 
 // ---------------- direct evaluation end to end ----------------
@@ -475,7 +413,6 @@ TEST(DirectEvalTest, SelectiveScanSkipsBlocksAndCutsBytesDecoded) {
   }
   ASSERT_NE(reencoded, nullptr);
 
-  setenv("MANIMAL_CODECS", "mlz", 1);
   uint64_t decoded[2] = {0, 0};
   std::vector<std::string> outputs[2];
   for (int direct = 0; direct <= 1; ++direct) {
@@ -501,7 +438,6 @@ TEST(DirectEvalTest, SelectiveScanSkipsBlocksAndCutsBytesDecoded) {
       EXPECT_EQ(outcome.job.counters.blocks_skipped, 0u);
     }
   }
-  unsetenv("MANIMAL_CODECS");
   unsetenv("MANIMAL_DIRECT_EVAL");
 
   EXPECT_EQ(outputs[0], outputs[1]);
@@ -527,13 +463,13 @@ TEST(CatalogCodecTest, TenColumnRoundTripAndOldManifestsStillLoad) {
     e.artifact_bytes = 100;
     e.input_bytes = 400;
     e.stats_path = "s.stats";
-    e.codec_chain = "rle+mlz";
+    e.codec_chain = "mlz";
     e.raw_bytes = 350;
     ASSERT_OK(catalog.Register(e));
   }
   ASSERT_OK_AND_ASSIGN(auto reloaded, index::Catalog::Open(path));
   ASSERT_EQ(reloaded.entries().size(), 1u);
-  EXPECT_EQ(reloaded.entries()[0].codec_chain, "rle+mlz");
+  EXPECT_EQ(reloaded.entries()[0].codec_chain, "mlz");
   EXPECT_EQ(reloaded.entries()[0].raw_bytes, 350u);
 
   // A pre-codec 8-column manifest loads with empty codec fields.

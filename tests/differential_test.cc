@@ -507,45 +507,37 @@ TEST_F(DifferentialHarness, ExplicitNativeBackendRunsAdmittedMap) {
 }
 
 // ---------------------------------------------------------------
-// Codec legs: the every-plan sweep repeated under each block codec
-// chain, once with direct predicate evaluation on compressed blocks
-// enabled and once forced to decode-then-evaluate. Every
-// (plan x chain x direct on/off) combination must reproduce the
-// baseline byte-for-byte — the exactness contract of the skip path.
+// Codec legs: the every-plan sweep over mlz-compressed (v2) artifacts,
+// once with direct predicate evaluation on compressed blocks enabled
+// and once forced to decode-then-evaluate. Every (plan x direct
+// on/off) combination must reproduce the baseline byte-for-byte — the
+// exactness contract of the skip path.
 
 #ifndef MANIMAL_TEST_CORPUS_DIR
 #define MANIMAL_TEST_CORPUS_DIR "tests/corpus"
 #endif
 
-constexpr const char* kCodecChains[] = {"off", "rle", "mlz", "rle+mlz"};
-
-TEST_F(DifferentialHarness, CodecChainsMatchBaselineDirectEvalOnAndOff) {
-  for (const char* chain : kCodecChains) {
-    for (int direct = 0; direct <= 1; ++direct) {
-      SCOPED_TRACE(std::string("chain ") + chain + " direct " +
-                   std::to_string(direct));
-      ScopedEnvVar codecs("MANIMAL_CODECS", chain);
-      ScopedEnvVar direct_eval("MANIMAL_DIRECT_EVAL",
-                               direct ? "1" : "0");
-      TempDir scratch(std::string("diff-codec-") +
-                      (direct ? "on-" : "off-") + chain);
-      for (uint64_t seed = 1; seed <= 4; ++seed) {
-        RunSeed(seed, scratch);
-        if (::testing::Test::HasFatalFailure()) return;
-      }
+TEST_F(DifferentialHarness,
+       CompressedArtifactsMatchBaselineDirectEvalOnAndOff) {
+  for (int direct = 0; direct <= 1; ++direct) {
+    SCOPED_TRACE("direct " + std::to_string(direct));
+    ScopedEnvVar direct_eval("MANIMAL_DIRECT_EVAL", direct ? "1" : "0");
+    TempDir scratch(std::string("diff-codec-") + (direct ? "on" : "off"));
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      RunSeed(seed, scratch);
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }
 
 TEST_F(DifferentialHarness,
-       CodecChainsMatchBaselineUnderFaultInjection) {
+       CompressedArtifactsMatchBaselineUnderFaultInjection) {
   FaultyEnv::Config defaults;
   defaults.seed = 3;
   defaults.rate = 0.02;
   const FaultyEnv::Config config = FaultyEnv::ConfigFromEnv(defaults);
   ASSERT_GT(config.rate, 0.0);
 
-  ScopedEnvVar codecs("MANIMAL_CODECS", "rle+mlz");
   for (int direct = 0; direct <= 1; ++direct) {
     SCOPED_TRACE("direct " + std::to_string(direct));
     ScopedEnvVar direct_eval("MANIMAL_DIRECT_EVAL", direct ? "1" : "0");
@@ -578,7 +570,6 @@ TEST_F(DifferentialHarness, CorpusProgramsMatchBaselineUnderCodecs) {
   ASSERT_GE(files.size(), 4u)
       << "corpus missing at " << MANIMAL_TEST_CORPUS_DIR;
 
-  ScopedEnvVar codecs("MANIMAL_CODECS", "rle+mlz");
   for (int direct = 0; direct <= 1; ++direct) {
     SCOPED_TRACE("direct " + std::to_string(direct));
     ScopedEnvVar direct_eval("MANIMAL_DIRECT_EVAL", direct ? "1" : "0");

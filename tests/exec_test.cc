@@ -296,6 +296,23 @@ TEST_F(EngineTest, MapOnlyJobStillReportsPhases) {
   EXPECT_TRUE(result.phase_breakdown.count("map"));
 }
 
+// emit(rank, content); reduce(rank, contents) -> count: the whole
+// content column goes through the shuffle.
+mril::Program ContentCountByRank() {
+  mril::ProgramBuilder b("content-count");
+  b.SetKeyType(FieldType::kI64)
+      .SetValueSchema(workloads::WebPagesSchema());
+  auto& m = b.Map();
+  m.LoadParam(1).GetField("rank");
+  m.LoadParam(1).GetField("content");
+  m.Emit().Ret();
+  auto& r = b.Reduce();
+  r.LoadParam(0);
+  r.LoadParam(1).Call("list.len");
+  r.Emit().Ret();
+  return b.Build();
+}
+
 TEST_F(EngineTest, ShuffleSpillEventsMatchJobCounters) {
   // Emit the whole content column through the shuffle into a single
   // partition with the minimum sort budget (the engine floors each
@@ -308,18 +325,7 @@ TEST_F(EngineTest, ShuffleSpillEventsMatchJobCounters) {
   ASSERT_TRUE(
       workloads::GenerateWebPages(dir.file("pages.msq"), gen).ok());
 
-  mril::ProgramBuilder b("spiller");
-  b.SetKeyType(FieldType::kI64)
-      .SetValueSchema(workloads::WebPagesSchema());
-  auto& m = b.Map();
-  m.LoadParam(1).GetField("rank");
-  m.LoadParam(1).GetField("content");
-  m.Emit().Ret();
-  auto& r = b.Reduce();
-  r.LoadParam(0);
-  r.LoadParam(1).Call("list.len");
-  r.Emit().Ret();
-  mril::Program program = b.Build();
+  const mril::Program program = ContentCountByRank();
 
   JobConfig config;
   config.map_parallelism = 2;
@@ -412,21 +418,8 @@ TEST(EngineSpillTest, ForcedSpillsDoNotChangeOutput) {
   ASSERT_TRUE(
       workloads::GenerateWebPages(dir.file("pages.msq"), gen).ok());
 
-  // emit(rank, content); reduce(rank, contents) -> count.
-  mril::ProgramBuilder b("spill-equiv");
-  b.SetKeyType(FieldType::kI64)
-      .SetValueSchema(workloads::WebPagesSchema());
-  auto& m = b.Map();
-  m.LoadParam(1).GetField("rank");
-  m.LoadParam(1).GetField("content");
-  m.Emit().Ret();
-  auto& r = b.Reduce();
-  r.LoadParam(0);
-  r.LoadParam(1).Call("list.len");
-  r.Emit().Ret();
-  mril::Program program = b.Build();
-  ExecutionDescriptor d =
-      optimizer::BaselineDescriptor(program, dir.file("pages.msq"));
+  ExecutionDescriptor d = optimizer::BaselineDescriptor(
+      ContentCountByRank(), dir.file("pages.msq"));
 
   auto config = [&](const std::string& out) {
     JobConfig c;
@@ -451,6 +444,51 @@ TEST(EngineSpillTest, ForcedSpillsDoNotChangeOutput) {
   ASSERT_OK_AND_ASSIGN(auto a, ReadCanonicalPairs(dir.file("mem.prs")));
   ASSERT_OK_AND_ASSIGN(auto b2, ReadCanonicalPairs(dir.file("spill.prs")));
   EXPECT_EQ(a, b2);
+}
+
+TEST(EngineSpillTest, ReduceRowsReportTheShuffleBytesTheyMerge) {
+  // EXPLAIN ANALYZE's reduce rows: a task reads the key + payload bytes
+  // its partition received, spilled or held in memory, so the rows sum
+  // to the job's map output bytes.
+  TempDir dir("reduce-bytes");
+  workloads::WebPagesOptions gen;
+  gen.num_pages = 20000;
+  gen.content_len = 128;
+  gen.rank_range = 100;
+  ASSERT_TRUE(
+      workloads::GenerateWebPages(dir.file("pages.msq"), gen).ok());
+  const ExecutionDescriptor d = optimizer::BaselineDescriptor(
+      ContentCountByRank(), dir.file("pages.msq"));
+
+  for (const bool spill : {false, true}) {
+    SCOPED_TRACE(spill ? "spilling" : "in memory");
+    const std::string out = spill ? "spill" : "mem";
+    JobConfig config;
+    config.map_parallelism = 4;
+    config.num_partitions = 3;
+    config.collect_task_stats = true;
+    if (spill) config.sort_buffer_bytes = 1;  // floored to 64 KiB per mapper
+    config.temp_dir = dir.file("tmp-" + out);
+    config.output_path = dir.file(out + ".prs");
+    config.simulated_startup_seconds = 0;
+    config.simulated_disk_bytes_per_sec = 0;
+    ASSERT_OK_AND_ASSIGN(JobResult result, RunJob(d, config));
+    EXPECT_EQ(result.counters.shuffle_spilled_runs > 0, spill);
+
+    int reduce_rows = 0;
+    uint64_t merged = 0;
+    for (const TaskStat& t : result.task_stats) {
+      if (t.kind != 'r') continue;
+      ++reduce_rows;
+      if (t.records_in > 0) {
+        EXPECT_GT(t.bytes_read, 0u) << "r" << t.index;
+      }
+      merged += t.bytes_read;
+    }
+    EXPECT_EQ(reduce_rows, 3);
+    EXPECT_GT(result.counters.map_output_bytes, 0u);
+    EXPECT_EQ(merged, result.counters.map_output_bytes);
+  }
 }
 
 // ---------------- index build + btree input plans ----------------

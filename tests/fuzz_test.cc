@@ -111,13 +111,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AssemblerFuzz, ::testing::Range(0, 3));
 
 class CorruptionFuzz : public ::testing::TestWithParam<int> {};
 
-TEST_P(CorruptionFuzz, TruncatedAndFlippedSeqFilesRejectCleanly) {
+// Truncates and flips bytes of a small SeqFile in either layout.
+void FuzzSeqFile(bool compressed, int seed) {
   TempDir dir("fuzz-seq");
   Schema schema({{"a", FieldType::kStr}, {"b", FieldType::kI64}});
   std::string path = dir.file("t.msq");
   {
     columnar::SeqFileWriter::Options options;
     options.target_block_bytes = 256;
+    options.compressed = compressed;
     auto writer = std::move(columnar::SeqFileWriter::Create(
                                 path, columnar::PlainMeta(schema), options))
                       .value();
@@ -131,11 +133,12 @@ TEST_P(CorruptionFuzz, TruncatedAndFlippedSeqFilesRejectCleanly) {
   {
     ASSERT_OK_AND_ASSIGN(auto reader, columnar::SeqFileReader::Open(path));
     ASSERT_GE(reader->num_blocks(), 8u);
+    ASSERT_EQ(reader->version(), compressed ? 2u : 1u);
   }
-  // The footer: block offsets, cumulative counts and the 28-byte tail,
-  // whose third field is the footer's offset.
+  // The footer: block offsets, cumulative counts (v2: skip frames) and
+  // the 28-byte tail, whose third field is the footer's offset.
   const size_t footer = DecodeFixed64(&bytes[bytes.size() - 12]);
-  Rng rng(GetParam() + 7);
+  Rng rng(seed + 7);
 
   for (int trial = 0; trial < 40; ++trial) {
     std::string mutated = bytes;
@@ -178,6 +181,17 @@ TEST_P(CorruptionFuzz, TruncatedAndFlippedSeqFilesRejectCleanly) {
         ++got;
       }
     }
+  }
+}
+
+// Both layouts: raw v1 blocks, and compressed v2 blocks (mlz frames
+// plus skip frames), so flips and truncations land inside compressed
+// payloads too.
+TEST_P(CorruptionFuzz, TruncatedAndFlippedSeqFilesRejectCleanly) {
+  for (const bool compressed : {false, true}) {
+    SCOPED_TRACE(compressed ? "v2" : "v1");
+    FuzzSeqFile(compressed, GetParam());
+    if (HasFatalFailure()) return;
   }
 }
 

@@ -91,15 +91,11 @@ TEST_F(OptimizerTest, FallsBackToLesserArtifact) {
   ASSERT_OK_AND_ASSIGN(
       Plan plan, BuildPlan(program, input(), report, system_->catalog()));
   EXPECT_TRUE(plan.optimized);
-  // delta-compression, plus codec(<chain>) when MANIMAL_CODECS picked
-  // a block codec for the re-encoded artifact (the default).
-  ASSERT_GE(plan.descriptor.applied.size(), 1u);
-  ASSERT_LE(plan.descriptor.applied.size(), 2u);
+  // delta-compression, plus the block codec of the re-encoded
+  // artifact.
+  ASSERT_EQ(plan.descriptor.applied.size(), 2u);
   EXPECT_NE(plan.descriptor.applied[0].find("delta"), std::string::npos);
-  if (plan.descriptor.applied.size() == 2) {
-    EXPECT_NE(plan.descriptor.applied[1].find("codec("),
-              std::string::npos);
-  }
+  EXPECT_EQ(plan.descriptor.applied[1], "codec(mlz)");
 }
 
 TEST_F(OptimizerTest, ProjectionPlanCarriesFieldRemap) {
